@@ -129,8 +129,8 @@ BENCHMARK(BM_BatchedForestInference);
 
 /**
  * Predictor-level batch over the same 336 configs. Steady state for a
- * recurring kernel: the specialization cache hits and most configs are
- * served from the per-kernel prediction memo.
+ * recurring kernel: every config is served from the per-kernel
+ * prediction memo.
  */
 void
 BM_PredictorBatchSteadyState(benchmark::State &state)
@@ -182,8 +182,7 @@ BENCHMARK(BM_HillClimbDecision);
 
 /**
  * A decision for a never-seen kernel: the counters change every
- * iteration, so each decision pays for forest specialization and
- * walks the residual forests for every evaluation instead of hitting
+ * iteration, so every evaluation walks both forests instead of hitting
  * the per-kernel prediction memo. This is the MPC governor's
  * first-launch cost; BM_HillClimbDecision is its recurring-launch
  * cost.
@@ -196,7 +195,7 @@ BM_HillClimbDecisionColdKernel(benchmark::State &state)
     auto q = f.query;
     for (auto _ : state) {
         // A new kernel identity per decision (any counter bit change
-        // misses the specialization cache).
+        // misses the kernel memo).
         q.counters.globalWorkSize += 1.0;
         auto res = climber.optimize(*f.rf, q, f.headroom,
                                     hw::ConfigSpace::failSafe());
@@ -223,6 +222,35 @@ BM_ExhaustiveScanDecision(benchmark::State &state)
     state.counters["evaluations"] = static_cast<double>(f.space.size());
 }
 BENCHMARK(BM_ExhaustiveScanDecision);
+
+/**
+ * A PPK scan of a never-seen kernel: new counters every iteration, so
+ * all 336 configs miss the per-kernel memo and both forests walk the
+ * whole scan (BM_ExhaustiveScanDecision times the memo hits of a
+ * recurring kernel). The fixture's corpus-24/stride-3 model has
+ * ~1.15k-node trees, about a tenth of the default `gpupm train`
+ * model's, so this understates a served scan's walk.
+ */
+void
+BM_ExhaustiveScanDecisionColdKernel(benchmark::State &state)
+{
+    auto &f = fixture();
+    const auto &cfgs = f.space.all();
+    std::vector<ml::EnergyEstimate> ests(cfgs.size());
+    auto q = f.query;
+    for (auto _ : state) {
+        q.counters.globalWorkSize += 1.0;
+        f.energy.estimateBatch(*f.rf, q, cfgs, ests);
+        double best = 1e300;
+        for (const auto &e : ests) {
+            if (e.time <= f.headroom && e.energy < best)
+                best = e.energy;
+        }
+        benchmark::DoNotOptimize(best);
+    }
+    state.counters["evaluations"] = static_cast<double>(f.space.size());
+}
+BENCHMARK(BM_ExhaustiveScanDecisionColdKernel);
 
 /**
  * Synthetic regression dataset shaped like the trainer's: all features

@@ -615,6 +615,35 @@ FlatForest::predictBatch(std::span<const FeatureVector> x,
         return;
     }
 
+    // Runs of contiguous rows with the same kernel prefix (one kernel's
+    // configs; a broker flush concatenates several kernels) take the
+    // shared-prefix walk when long enough. Everything between them is
+    // row-walked in maximal segments, so short runs still interleave.
+    const auto same_kernel = [&](std::size_t a, std::size_t b) {
+        return std::memcmp(x[a].data(), x[b].data(),
+                           numKernelFeatures * sizeof(double)) == 0;
+    };
+    std::size_t walked = 0;
+    for (std::size_t s = 0; s < n;) {
+        std::size_t e = s + 1;
+        while (e < n && e - s < kSharedWalkMaxRows && same_kernel(s, e))
+            ++e;
+        if (e - s >= kSharedWalkMinRows) {
+            predictRowsFloat(x.subspan(walked, s - walked),
+                             out.subspan(walked, s - walked));
+            predictRunShared(x.subspan(s, e - s), out.subspan(s, e - s));
+            walked = e;
+        }
+        s = e;
+    }
+    predictRowsFloat(x.subspan(walked), out.subspan(walked));
+}
+
+void
+FlatForest::predictRowsFloat(std::span<const FeatureVector> x,
+                             std::span<double> out) const
+{
+    const std::size_t n = x.size();
     if (n < 8) {
         // Too few queries to interleave; predictOne interleaves trees
         // instead. Scratch is thread_local so a warm hot path never
@@ -662,6 +691,381 @@ FlatForest::predictBatch(std::span<const FeatureVector> x,
     const auto trees = static_cast<double>(_roots.size());
     for (auto &v : out)
         v /= trees;
+}
+
+namespace {
+
+/**
+ * Per-thread scratch of the shared-prefix walk. Bitsets are
+ * ceil(rows / 64) words wide, so every buffer is sized to the runs a
+ * thread has walked, not to the widest run the walk accepts.
+ */
+struct SharedWalkScratch
+{
+    std::vector<std::pair<double, std::uint32_t>> sorted;
+    std::vector<std::int32_t> group;  ///< Row's value index, -1 for NaN.
+    std::vector<double> values;       ///< See RunFeatures.
+    std::vector<std::uint64_t> masks; ///< See RunFeatures.
+    /// Row bitsets. Items refer to them by index, so a move to a child
+    /// copies no set; set 0 is the whole run.
+    std::vector<std::uint64_t> sets;
+    std::array<std::vector<std::uint32_t>, 2> node; ///< Item node, by level parity.
+    std::array<std::vector<std::uint32_t>, 2> tree; ///< Item tree.
+    std::array<std::vector<std::uint32_t>, 2> set;  ///< Item set index.
+    std::vector<std::uint32_t> split; ///< This level's free-split items.
+    std::vector<std::uint32_t> leafNode; ///< Items that reached a leaf.
+    std::vector<std::uint32_t> leafTree;
+    std::vector<std::uint32_t> leafSet;
+    std::vector<double> leaves; ///< Leaf value per (tree, row), tree-major.
+};
+
+SharedWalkScratch &
+sharedWalkScratch()
+{
+    static thread_local SharedWalkScratch s;
+    return s;
+}
+
+/** Grow-only resize: the walk overwrites every slot it reads. */
+template <typename T>
+T *
+atLeast(std::vector<T> &v, std::size_t n)
+{
+    if (v.size() < n)
+        v.resize(n);
+    return v.data();
+}
+
+/**
+ * One run's features as the walk sees them. A feature is shared when
+ * every row holds the same bits, so one comparison decides a split for
+ * the whole run. A free feature keeps its distinct non-NaN values in
+ * ascending order, values[valueBegin[f] ...], valueCount[f] of them
+ * padded with +inf to a multiple of kValueBlock, and one suffix mask
+ * per value plus an empty one: mask k holds the rows whose value is at
+ * least the k-th distinct value, so the rows with `value > t` are mask
+ * number upper_bound(values, t). -0.0 and +0.0 compare equal and share
+ * a value; NaN rows join no mask and a NaN threshold selects the empty
+ * one, both as `>` would have it.
+ */
+struct RunFeatures
+{
+    static constexpr std::size_t kValueBlock = 8;
+    std::uint32_t shared = 0; ///< Bit f: feature f is shared.
+    std::array<std::uint32_t, numFeatures> valueBegin{};
+    std::array<std::uint32_t, numFeatures> valueCount{};
+    std::array<std::uint32_t, numFeatures> maskBegin{}; ///< In masks.
+
+    /** The rows whose free feature f exceeds t. */
+    template <std::size_t W>
+    const std::uint64_t *
+    greater(const SharedWalkScratch &s, std::size_t f, double t) const
+    {
+        const double *const v = s.values.data() + valueBegin[f];
+        const std::size_t count = valueCount[f];
+        std::size_t k;
+        if (count <= kValueBlock) {
+            // Branchless upper_bound over one block. The padding
+            // counts only for a NaN or +inf t, which no row exceeds;
+            // the clamp then selects the empty mask.
+            std::size_t c = 0;
+            for (std::size_t j = 0; j < kValueBlock; ++j)
+                c += !(t < v[j]) ? 1u : 0u;
+            k = std::min(c, count);
+        } else {
+            k = static_cast<std::size_t>(
+                std::upper_bound(v, v + count, t) - v);
+        }
+        return s.masks.data() + (maskBegin[f] + k) * W;
+    }
+};
+
+static_assert(numFeatures <= 32, "shared-feature set is a 32-bit mask");
+
+/**
+ * Distinct values of one free feature, ascending, into s.values; the
+ * group index of row q's value into group[q] (-1 for NaN). Few values
+ * (the config features of a scan take at most seven) are found by
+ * insertion into one block; more fall back to a sort.
+ */
+std::size_t
+distinctValues(std::span<const FeatureVector> x, std::size_t f,
+               SharedWalkScratch &s, std::int32_t *group)
+{
+    constexpr std::size_t kBlock = RunFeatures::kValueBlock;
+    const std::size_t n = x.size();
+    double block[kBlock];
+    std::size_t count = 0;
+    bool few = true;
+    for (std::size_t q = 0; q < n; ++q) {
+        const double v = x[q][f];
+        if (v != v || (q > 0 && v == x[q - 1][f]))
+            continue;
+        std::size_t j = 0;
+        while (j < count && block[j] < v)
+            ++j;
+        if (j < count && block[j] == v)
+            continue;
+        if (count == kBlock) {
+            few = false;
+            break;
+        }
+        std::copy_backward(block + j, block + count, block + count + 1);
+        block[j] = v;
+        ++count;
+    }
+    if (few) {
+        s.values.insert(s.values.end(), block, block + count);
+        for (std::size_t q = 0; q < n; ++q) {
+            const double v = x[q][f];
+            std::int32_t g = 0;
+            for (std::size_t j = 0; j < count; ++j)
+                g += block[j] < v ? 1 : 0;
+            group[q] = v == v ? g : -1;
+        }
+        return count;
+    }
+
+    s.sorted.clear();
+    for (std::size_t q = 0; q < n; ++q) {
+        group[q] = -1;
+        if (const double v = x[q][f]; v == v)
+            s.sorted.emplace_back(v, static_cast<std::uint32_t>(q));
+    }
+    std::sort(s.sorted.begin(), s.sorted.end(),
+              [](const auto &a, const auto &b) { return a.first < b.first; });
+    count = 0;
+    for (std::size_t j = 0; j < s.sorted.size(); ++j) {
+        if (j == 0 || s.sorted[j].first != s.sorted[j - 1].first) {
+            s.values.push_back(s.sorted[j].first);
+            ++count;
+        }
+        group[s.sorted[j].second] = static_cast<std::int32_t>(count - 1);
+    }
+    return count;
+}
+
+RunFeatures
+prepareRun(std::span<const FeatureVector> x, std::size_t words,
+           SharedWalkScratch &s)
+{
+    constexpr std::size_t kBlock = RunFeatures::kValueBlock;
+    const std::size_t n = x.size();
+    RunFeatures rf;
+    s.values.clear();
+    s.masks.clear();
+    std::int32_t *const group = atLeast(s.group, n);
+    for (std::size_t f = 0; f < static_cast<std::size_t>(numFeatures);
+         ++f) {
+        const auto b0 = std::bit_cast<std::uint64_t>(x[0][f]);
+        std::size_t q = 1;
+        while (q < n && std::bit_cast<std::uint64_t>(x[q][f]) == b0)
+            ++q;
+        if (q == n) {
+            rf.shared |= 1u << f;
+            continue;
+        }
+
+        rf.valueBegin[f] = static_cast<std::uint32_t>(s.values.size());
+        const std::size_t count = distinctValues(x, f, s, group);
+        rf.valueCount[f] = static_cast<std::uint32_t>(count);
+        s.values.resize(rf.valueBegin[f] +
+                            std::max<std::size_t>(
+                                kBlock, (count + kBlock - 1) / kBlock *
+                                            kBlock),
+                        std::numeric_limits<double>::infinity());
+
+        // Rows into their value's mask, then suffix unions from the
+        // largest value down; the last mask stays empty.
+        rf.maskBegin[f] =
+            static_cast<std::uint32_t>(s.masks.size() / words);
+        const std::size_t base = s.masks.size();
+        s.masks.resize(base + (count + 1) * words, 0);
+        std::uint64_t *const mk = s.masks.data() + base;
+        for (q = 0; q < n; ++q)
+            if (group[q] >= 0)
+                mk[static_cast<std::size_t>(group[q]) * words + q / 64] |=
+                    std::uint64_t{1} << (q % 64);
+        for (std::size_t k = count; k-- > 1;)
+            for (std::size_t w = 0; w < words; ++w)
+                mk[(k - 1) * words + w] |= mk[k * words + w];
+    }
+    return rf;
+}
+
+/**
+ * The level-synchronous walk of one run through every tree, W bitset
+ * words per set (a template so each set operation unrolls). Level 0
+ * holds one item per tree, all on set 0, the whole run. Each level
+ * first reads every item's node: an item on a shared-feature split
+ * moves to the decided child with its set unchanged, an item on a
+ * free-feature split is queued, and an item on a leaf is set aside.
+ * The queued splits then partition their sets into the two children's
+ * non-empty halves. Every child is prefetched when it is pushed, so
+ * the next level's cache misses overlap; the appends are branch-free.
+ * Per tree the items' sets partition the run's rows at every level, so
+ * the scatter at the end writes each cell of the (tree, row) table
+ * exactly once.
+ */
+template <std::size_t W, typename NodeT>
+void
+walkRunShared(const NodeT *nodes, const std::int32_t *leaf_idx,
+              const double *leaf, std::span<const std::uint32_t> roots,
+              const double *x0, std::size_t n, const RunFeatures &rf,
+              SharedWalkScratch &s)
+{
+    const std::size_t trees = roots.size();
+    std::uint64_t *sets = atLeast(s.sets, W);
+    std::fill_n(sets, W, ~std::uint64_t{0});
+    if (n % 64 != 0)
+        sets[W - 1] = (std::uint64_t{1} << (n % 64)) - 1;
+    std::size_t set_count = 1;
+    {
+        std::uint32_t *const cnode = atLeast(s.node[0], trees);
+        std::uint32_t *const ctree = atLeast(s.tree[0], trees);
+        std::uint32_t *const cset = atLeast(s.set[0], trees);
+        for (std::size_t t = 0; t < trees; ++t) {
+            cnode[t] = roots[t];
+            ctree[t] = static_cast<std::uint32_t>(t);
+            cset[t] = 0;
+        }
+    }
+
+    std::size_t leaves = 0;
+    std::size_t count = trees;
+    for (std::size_t cur = 0; count > 0; cur ^= 1) {
+        const std::size_t nxt = cur ^ 1;
+        const std::uint32_t *const cnode = s.node[cur].data();
+        const std::uint32_t *const ctree = s.tree[cur].data();
+        const std::uint32_t *const cset = s.set[cur].data();
+        // Every item appends at most two next-level items, and the
+        // speculative appends below need one spare slot.
+        std::uint32_t *const nnode = atLeast(s.node[nxt], 2 * count + 1);
+        std::uint32_t *const ntree = atLeast(s.tree[nxt], 2 * count + 1);
+        std::uint32_t *const nset = atLeast(s.set[nxt], 2 * count + 1);
+        std::uint32_t *const split = atLeast(s.split, count + 1);
+        std::uint32_t *const lnode = atLeast(s.leafNode, leaves + count + 1);
+        std::uint32_t *const ltree = atLeast(s.leafTree, leaves + count + 1);
+        std::uint32_t *const lset = atLeast(s.leafSet, leaves + count + 1);
+
+        std::size_t out = 0;
+        std::size_t splits = 0;
+        for (std::size_t k = 0; k < count; ++k) {
+            const std::uint32_t i = cnode[k];
+            const NodeT &nd = nodes[i];
+            const auto f = static_cast<std::size_t>(nd.feature);
+            const bool is_leaf = nd.offset == 0;
+            const bool is_shared = !is_leaf && ((rf.shared >> f) & 1u);
+            // A leaf's child is itself; a free split's is one of its
+            // children, so the prefetch is never wasted.
+            const std::uint32_t child =
+                i + static_cast<std::uint32_t>(nd.offset) +
+                (x0[f] > nd.threshold ? 1u : 0u);
+            __builtin_prefetch(nodes + child);
+            nnode[out] = child;
+            ntree[out] = ctree[k];
+            nset[out] = cset[k];
+            out += is_shared ? 1 : 0;
+            split[splits] = static_cast<std::uint32_t>(k);
+            splits += !is_leaf && !is_shared ? 1 : 0;
+            lnode[leaves] = i;
+            ltree[leaves] = ctree[k];
+            lset[leaves] = cset[k];
+            leaves += is_leaf ? 1 : 0;
+        }
+
+        sets = atLeast(s.sets, (set_count + 2 * splits + 1) * W);
+        for (std::size_t j = 0; j < splits; ++j) {
+            const std::size_t k = split[j];
+            const std::uint32_t i = cnode[k];
+            const NodeT &nd = nodes[i];
+            const std::uint64_t *const set = sets + cset[k] * W;
+            const std::uint64_t *const gt = rf.greater<W>(
+                s, static_cast<std::size_t>(nd.feature), nd.threshold);
+            const auto left = i + static_cast<std::uint32_t>(nd.offset);
+            // Left half into the next set slot, kept only if non-empty;
+            // the right half then lands in whichever slot is next.
+            std::uint64_t *const ls = sets + set_count * W;
+            std::uint64_t any = 0;
+            for (std::size_t w = 0; w < W; ++w) {
+                ls[w] = set[w] & ~gt[w];
+                any |= ls[w];
+            }
+            nnode[out] = left;
+            ntree[out] = ctree[k];
+            nset[out] = static_cast<std::uint32_t>(set_count);
+            const std::size_t kept = any != 0 ? 1 : 0;
+            out += kept;
+            set_count += kept;
+            std::uint64_t *const rs = sets + set_count * W;
+            any = 0;
+            for (std::size_t w = 0; w < W; ++w) {
+                rs[w] = set[w] & gt[w];
+                any |= rs[w];
+            }
+            nnode[out] = left + 1;
+            ntree[out] = ctree[k];
+            nset[out] = static_cast<std::uint32_t>(set_count);
+            out += any != 0 ? 1 : 0;
+            set_count += any != 0 ? 1 : 0;
+        }
+        count = out;
+    }
+
+    // Two passes so the leaf-index and leaf-value misses of all leaves
+    // overlap instead of chaining per leaf.
+    std::uint32_t *const lvalue = s.leafNode.data();
+    for (std::size_t l = 0; l < leaves; ++l) {
+        lvalue[l] = static_cast<std::uint32_t>(leaf_idx[lvalue[l]]);
+        __builtin_prefetch(leaf + lvalue[l]);
+    }
+    for (std::size_t l = 0; l < leaves; ++l) {
+        const double v = leaf[lvalue[l]];
+        double *const col = s.leaves.data() + s.leafTree[l] * n;
+        const std::uint64_t *const set = sets + s.leafSet[l] * W;
+        for (std::size_t w = 0; w < W; ++w)
+            for (std::uint64_t b = set[w]; b != 0; b &= b - 1)
+                col[w * 64 + static_cast<std::size_t>(std::countr_zero(b))] =
+                    v;
+    }
+}
+
+} // namespace
+
+void
+FlatForest::predictRunShared(std::span<const FeatureVector> x,
+                             std::span<double> out) const
+{
+    const std::size_t n = x.size();
+    GPUPM_ASSERT(n > 0 && n <= kSharedWalkMaxRows,
+                 "shared-prefix run out of range");
+    const std::size_t words = (n + 63) / 64;
+    auto &s = sharedWalkScratch();
+    const RunFeatures rf = prepareRun(x, words, s);
+    const std::size_t trees = _roots.size();
+    s.leaves.resize(trees * n);
+
+    [&]<std::size_t... I>(std::index_sequence<I...>) {
+        (void)((words == I + 1 &&
+                (walkRunShared<I + 1>(_nodes.data(), _leafIdx.data(),
+                                      _leafValue.data(), _roots,
+                                      x[0].data(), n, rf, s),
+                 true)) ||
+               ...);
+    }(std::make_index_sequence<kSharedWalkMaxRows / 64>{});
+
+    // Tree order per row, as the row walk adds them; the loop runs
+    // across rows, so it vectorizes without reordering any row's sum.
+    double *const o = out.data();
+    std::fill_n(o, n, 0.0);
+    for (std::size_t t = 0; t < trees; ++t) {
+        const double *const col = s.leaves.data() + t * n;
+        for (std::size_t q = 0; q < n; ++q)
+            o[q] += col[q];
+    }
+    const auto tc = static_cast<double>(trees);
+    for (std::size_t q = 0; q < n; ++q)
+        o[q] /= tc;
 }
 
 namespace {

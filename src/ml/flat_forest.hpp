@@ -42,6 +42,24 @@
  * comparisons on the same doubles, leaves accumulated in tree order,
  * one final division by the tree count.
  *
+ * ## Shared-prefix walk (scalar mode)
+ *
+ * An MPC batch scores one kernel against many configurations, so its
+ * rows agree bit for bit on the ten kernel features and differ only in
+ * the seven config features, which take a handful of distinct values
+ * each. A row walk re-traverses the same upper tree for every row. The
+ * float path therefore splits a batch into runs of contiguous rows with
+ * the same kernel prefix and walks each long run once per tree, as
+ * (node, row bitset) items: all trees advance one level at a time with
+ * each item's next node prefetched; a split on a feature every row of
+ * the run shares moves the whole set, and a split on a free feature
+ * partitions it with a precomputed "value > threshold" mask (the
+ * suffix of the feature's sorted distinct values). Leaf values land in
+ * a (tree, row) table that is summed in tree order and divided once,
+ * so every output equals the row walk's bit for bit. Runs shorter than
+ * kSharedWalkMinRows keep the row walk; runs longer than
+ * kSharedWalkMaxRows (the bitset width) are walked in chunks.
+ *
  * ## Quantized engine (SimdMode::Auto / Avx2 / Fallback)
  *
  * compile() additionally builds an int16-quantized mirror of the
@@ -141,10 +159,15 @@ class FlatForest
      * Partial evaluation: residual forest for queries whose first
      * fixed.size() features equal `fixed`. Every split on a fixed
      * feature has a predetermined outcome, so those edges contract and
-     * only splits on the remaining features survive. For the MPC
-     * predictor the fixed prefix is the ten kernel features, which cuts
-     * ~1150-node trees to ~25-node residuals (one specialization per
-     * decision, dozens-to-hundreds of config evaluations against it).
+     * only splits on the remaining features survive. How much that
+     * saves depends on the model: fixing the ten kernel features cuts
+     * the micro-bench fixture's ~1.15k-node trees (corpus 24, stride 3)
+     * to ~25-node residuals, but the default `gpupm train` model's
+     * ~12k-node, depth-16 trees keep ~50-node (time) and ~110-node
+     * (power) residuals, 3.2k and 6.7k nodes per forest, and
+     * specializing both forests costs 1.2-1.5 ms - more than the
+     * shared-prefix walk of a whole 336-config scan. The quantized
+     * engine's residual cache uses it; the float path does not.
      *
      * The residual forest preserves per-tree leaf values and tree
      * order, so its predictions are bit-identical to this forest's for
@@ -270,6 +293,38 @@ class FlatForest
     double predictOne(const FeatureVector &f,
                       std::span<double> leaf_scratch) const;
 
+    /**
+     * Float row walk: tree-major with eight interleaved rows, or
+     * predictOne per row below eight rows. Any n, including 0.
+     */
+    void predictRowsFloat(std::span<const FeatureVector> x,
+                          std::span<double> out) const;
+
+    /**
+     * Shared-prefix walk of one run of at most kSharedWalkMaxRows rows
+     * (see the file comment); bit-identical to predictRowsFloat.
+     */
+    void predictRunShared(std::span<const FeatureVector> x,
+                          std::span<double> out) const;
+
+    /**
+     * Shortest run the shared-prefix walk takes. On the default
+     * `gpupm train` model it beats the row walk from 12 rows even when
+     * the rows are configurations spread across the space (few shared
+     * paths), and loses at 8; on the small micro-bench model the
+     * spread case breaks even between 16 and 24. Rows of adjacent
+     * configurations, such as hill-climb neighbours, win from 8.
+     */
+    static constexpr std::size_t kSharedWalkMinRows = 16;
+    /**
+     * Bitset width: longer runs are walked in chunks of this many rows,
+     * which bounds an item's bitset at eight 64-bit words. A
+     * one-kernel scan of the 336-config space fits in one chunk.
+     */
+    static constexpr std::size_t kSharedWalkMaxRows = 512;
+    static_assert(kSharedWalkMaxRows % 64 == 0,
+                  "bitset width must be whole words");
+
     /** Quantized engine entry points (portable or AVX2 per _path). */
     void predictBatchQuantized(std::span<const FeatureVector> x,
                                std::span<double> out) const;
@@ -297,10 +352,11 @@ class FlatForest
      * successive decisions usually share it too, because the engine
      * only sees counters through the quantization grid and real
      * counter jitter rarely crosses a cell boundary. When the rows of
-     * a call agree on a quantized prefix, one specialize() call
-     * (~20 us, roughly thirty row walks) buys walks on ~50x smaller
-     * residual trees for this call *and every later call that matches
-     * the same prefix*, including the hill climb's single-row probes.
+     * a call agree on a quantized prefix, one specialize() call buys
+     * walks on smaller residual trees for this call *and every later
+     * call that matches the same prefix*, including the hill climb's
+     * single-row probes. (How much smaller, and what the build costs,
+     * depends on the model; see specialize().)
      * Bit-identical by specialize()'s contract: the residual agrees
      * with the parent for every query matching the fixed prefix, so a
      * cache hit changes which arena is walked but never the result.

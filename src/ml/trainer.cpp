@@ -72,43 +72,31 @@ RandomForestPredictor::predictRows(std::span<const FeatureVector> rows,
 namespace {
 
 /**
- * One-entry cache of forests partially evaluated for a kernel-feature
- * prefix. A governor decision evaluates one kernel against many
- * configurations (sensitivity batch, climbing steps, or a full PPK
- * scan), and successive launches of the same kernel repeat the same
- * prefix, so the residual forests are built once and reused across
- * both. Keyed on the raw counters (eight doubles, padding-free) rather
- * than the derived features, so a hit also skips the log2-heavy
- * makeKernelFeatures. thread_local: sweep workers each run their own
- * decisions.
+ * One-entry per-kernel cache. A governor decision evaluates one kernel
+ * against many configurations (sensitivity batch, climbing steps, or a
+ * full PPK scan), and successive launches of the same kernel repeat the
+ * same counters. Keyed on the raw counters (eight doubles,
+ * padding-free) rather than the derived features, so a hit also skips
+ * the log2-heavy makeKernelFeatures. thread_local: sweep workers each
+ * run their own decisions.
  *
- * The entry also memoizes finished predictions per dense config index:
- * a prediction is a pure function of (counters, config), and the MPC
+ * The entry memoizes finished predictions per dense config index: a
+ * prediction is a pure function of (counters, config), and the MPC
  * premise is kernels relaunching with identical counters, so
  * steady-state decisions mostly re-request pairs already computed.
- * Memoized values are the values the residual forests produced, so
- * hits are bit-identical to recomputation.
+ * Memoized values are the values the forests produced, so hits are
+ * bit-identical to recomputation. Misses walk the full forests; a
+ * batch of one kernel's configs takes FlatForest's shared-prefix walk.
  */
-struct SpecializedForests
+struct KernelMemo
 {
     std::uint64_t owner = 0;       ///< instanceId of the owning predictor.
     kernel::KernelCounters key{};  ///< Counters the entry belongs to.
     KernelFeatures kf{};           ///< Derived prefix, computed once.
     bool valid = false;
-    bool specialized = false;      ///< Residual forests built?
-    FlatForest time;
-    FlatForest power;
     std::vector<Prediction> memo;     ///< By denseConfigIndex.
     std::vector<std::uint8_t> known;  ///< Memo slot validity.
 };
-
-/**
- * Memo misses in one batch that justify building residual forests.
- * Specializing both forests costs roughly as much as thirty full-forest
- * prediction pairs, so small batches (hill-climb probes) never pay it
- * and exhaustive scans (hundreds of configs) always do.
- */
-constexpr std::size_t kSpecializeMissThreshold = 48;
 
 } // namespace
 
@@ -132,21 +120,18 @@ RandomForestPredictor::predictBatch(const PredictionQuery &q,
     // hit also skips the log2-heavy makeKernelFeatures. A one-off
     // single query with a cold cache (model evaluation sweeps) walks
     // the full forests directly and leaves the entry alone.
-    thread_local SpecializedForests spec;
+    thread_local KernelMemo cache;
     bool entry =
-        spec.valid && spec.owner == _instanceId &&
-        std::memcmp(&q.counters, &spec.key, sizeof(spec.key)) == 0;
+        cache.valid && cache.owner == _instanceId &&
+        std::memcmp(&q.counters, &cache.key, sizeof(cache.key)) == 0;
     if (!entry && n >= 2) {
-        spec.valid = false; // not reusable while rebuilding
-        spec.owner = _instanceId;
-        spec.key = q.counters;
-        spec.kf = makeKernelFeatures(q.counters);
-        spec.specialized = false;
-        spec.time = FlatForest();
-        spec.power = FlatForest();
-        spec.memo.resize(hw::denseConfigCount);
-        spec.known.assign(hw::denseConfigCount, 0);
-        spec.valid = true;
+        cache.valid = false; // not reusable while rebuilding
+        cache.owner = _instanceId;
+        cache.key = q.counters;
+        cache.kf = makeKernelFeatures(q.counters);
+        cache.memo.resize(hw::denseConfigCount);
+        cache.known.assign(hw::denseConfigCount, 0);
+        cache.valid = true;
         entry = true;
     }
 
@@ -179,8 +164,8 @@ RandomForestPredictor::predictBatch(const PredictionQuery &q,
     miss.clear();
     for (std::size_t i = 0; i < n; ++i) {
         const auto di = hw::denseConfigIndex(cs[i]);
-        if (spec.known[di])
-            out[i] = spec.memo[di];
+        if (cache.known[di])
+            out[i] = cache.memo[di];
         else
             miss.push_back(static_cast<std::uint32_t>(i));
     }
@@ -188,41 +173,21 @@ RandomForestPredictor::predictBatch(const PredictionQuery &q,
         return;
 
     const std::size_t m = miss.size();
-    if (!spec.specialized && m >= kSpecializeMissThreshold) {
-        spec.time = _timeFlat.specialize(spec.kf);
-        spec.power = _powerFlat.specialize(spec.kf);
-        spec.specialized = true;
-    }
-
     feats.resize(m);
     time_pred.resize(m);
     power_pred.resize(m);
-    if (spec.specialized) {
-        // Residual trees split on config features alone, so only the
-        // config suffix of each feature vector is filled; prefix bytes
-        // left over from earlier batches are never read.
-        for (std::size_t j = 0; j < m; ++j) {
-            const auto &cf = configFeatures(cs[miss[j]]);
-            std::memcpy(feats[j].data() + numKernelFeatures, cf.data(),
-                        sizeof(cf));
-        }
-        spec.time.predictBatch(feats, time_pred);
-        spec.power.predictBatch(feats, power_pred);
-    } else {
-        for (std::size_t j = 0; j < m; ++j)
-            feats[j] =
-                combineFeatures(spec.kf, configFeatures(cs[miss[j]]));
-        _timeFlat.predictBatch(feats, time_pred);
-        _powerFlat.predictBatch(feats, power_pred);
-    }
+    for (std::size_t j = 0; j < m; ++j)
+        feats[j] = combineFeatures(cache.kf, configFeatures(cs[miss[j]]));
+    _timeFlat.predictBatch(feats, time_pred);
+    _powerFlat.predictBatch(feats, power_pred);
     for (std::size_t j = 0; j < m; ++j) {
         const std::size_t i = miss[j];
         Prediction p;
         p.time = std::exp(time_pred[j]) * proxy;
         p.gpuPower = power_pred[j];
         out[i] = p;
-        spec.memo[hw::denseConfigIndex(cs[i])] = p;
-        spec.known[hw::denseConfigIndex(cs[i])] = 1;
+        cache.memo[hw::denseConfigIndex(cs[i])] = p;
+        cache.known[hw::denseConfigIndex(cs[i])] = 1;
     }
 }
 

@@ -45,7 +45,7 @@ class RandomForestPredictor : public PerfPowerPredictor
     /**
      * @param simd Inference engine for both compiled forests (see
      * simd.hpp). Fixed for the predictor's lifetime so per-kernel
-     * memo caches and residual specializations never mix engines;
+     * memo caches and residual caches never mix engines;
      * online refits propagate the serving generation's mode.
      */
     RandomForestPredictor(RandomForest time_forest,
@@ -94,7 +94,7 @@ class RandomForestPredictor : public PerfPowerPredictor
 
     /**
      * Process-unique identity of this predictor instance. Caches keyed
-     * on the predictor (the per-thread specialization memo) must use
+     * on the predictor (the per-thread kernel memo) must use
      * this rather than the object address: online retraining destroys
      * predictors and allocates replacements, and a recycled address
      * would validate a stale cache entry against the new forests.

@@ -9,7 +9,7 @@
  * it, so a single governor decision never mixes generations - the same
  * batch-boundary pickup contract the broker provides per flush.
  *
- * The per-thread specialization memo inside RandomForestPredictor is
+ * The per-thread kernel memo inside RandomForestPredictor is
  * keyed on the predictor's instanceId, so a swap naturally invalidates
  * it on the next batch (a fresh predictor has a fresh id).
  */

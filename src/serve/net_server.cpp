@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <mutex>
 #include <unordered_map>
@@ -58,6 +59,14 @@ struct NetServer::Impl
     int epollFd = -1;
     int eventFd = -1;
     std::atomic<bool> stopRequested{false};
+
+    /* Event-loop-thread-only state below. */
+    /// accept4 failures other than "nothing pending" (EMFILE, ENFILE,
+    /// ENOBUFS, ...); exported as serve.accept_failures.
+    std::uint64_t acceptFailures = 0;
+    /// While set, the listen fd is not polled until acceptResume.
+    bool acceptPaused = false;
+    std::chrono::steady_clock::time_point acceptResume;
 
     std::unordered_map<int, std::shared_ptr<Connection>> conns;
 
@@ -195,6 +204,26 @@ armConnection(int epollFd, int fd, bool wantWrite)
     GPUPM_ASSERT(::epoll_ctl(epollFd, EPOLL_CTL_MOD, fd, &ev) == 0,
                  "epoll_ctl(MOD) failed: ", std::strerror(errno));
 }
+
+/** Poll the listen socket for connections, or stop polling it. */
+void
+armListen(int epollFd, int listenFd, bool on)
+{
+    epoll_event ev{};
+    ev.events = on ? EPOLLIN : 0u;
+    ev.data.fd = listenFd;
+    GPUPM_ASSERT(::epoll_ctl(epollFd, EPOLL_CTL_MOD, listenFd, &ev) == 0,
+                 "epoll_ctl(MOD listen) failed: ", std::strerror(errno));
+}
+
+/**
+ * How long the loop stops polling the listen socket after accept4
+ * fails for lack of a resource (EMFILE, ENFILE, ...). The socket stays
+ * readable while connections wait in the backlog, so polling it at
+ * once would spin on the same failure; the waiting connections are
+ * accepted once descriptors free up.
+ */
+constexpr std::chrono::milliseconds kAcceptBackoff{50};
 
 } // namespace
 
@@ -419,10 +448,12 @@ NetServer::eventLoop()
     auto handleStats = [&](const std::shared_ptr<Connection> &conn) {
         const telemetry::Snapshot snap = _server.metrics();
         wire::StatsMsg stats;
-        stats.entries.reserve(snap.counters.size() + 1);
+        stats.entries.reserve(snap.counters.size() + 2);
         for (const auto &[name, value] : snap.counters)
             stats.entries.emplace_back(name, value);
         stats.entries.emplace_back("serve.connections", accepted());
+        stats.entries.emplace_back("serve.accept_failures",
+                                   impl.acceptFailures);
         if (const auto *arbiter = _server.capArbiter()) {
             stats.fleetBudgetWatts = arbiter->budgetWatts();
             stats.capViolations = arbiter->violations();
@@ -505,8 +536,14 @@ NetServer::eventLoop()
                     return;
                 if (errno == EINTR || errno == ECONNABORTED)
                     continue;
-                GPUPM_PANIC("accept4 failed: ",
-                            std::strerror(errno));
+                // Out of descriptors or buffers: keep serving the
+                // connections we have and try again after a pause.
+                ++impl.acceptFailures;
+                armListen(impl.epollFd, impl.listenFd, false);
+                impl.acceptPaused = true;
+                impl.acceptResume =
+                    std::chrono::steady_clock::now() + kAcceptBackoff;
+                return;
             }
             const int one = 1;
             ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
@@ -526,9 +563,21 @@ NetServer::eventLoop()
 
     std::array<epoll_event, 64> events;
     while (!impl.stopRequested.load(std::memory_order_acquire)) {
+        int timeout_ms = -1;
+        if (impl.acceptPaused) {
+            const auto left =
+                std::chrono::ceil<std::chrono::milliseconds>(
+                    impl.acceptResume - std::chrono::steady_clock::now());
+            if (left.count() > 0) {
+                timeout_ms = static_cast<int>(left.count());
+            } else {
+                armListen(impl.epollFd, impl.listenFd, true);
+                impl.acceptPaused = false;
+            }
+        }
         const int n = ::epoll_wait(impl.epollFd, events.data(),
                                    static_cast<int>(events.size()),
-                                   -1);
+                                   timeout_ms);
         if (n < 0) {
             if (errno == EINTR)
                 continue;

@@ -24,6 +24,12 @@
  * threaded. Fine for the load generator and CI smoke; a production
  * front end would hand Opens to the pool too.
  *
+ * Running out of descriptors does not stop the server: when accept
+ * fails (EMFILE, ENFILE, ...) the loop counts the failure, exported in
+ * Stats as serve.accept_failures, stops polling the listen socket for
+ * a short backoff and keeps serving the connections it has; waiting
+ * connections stay in the backlog until descriptors free up.
+ *
  * Linux-only (epoll + eventfd); other hosts get a panicking stub -
  * the in-process fleet driver works everywhere.
  */

@@ -10,10 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -164,8 +168,8 @@ TEST(FlatForest, SpecializeBitIdenticalForMatchingPrefix)
 }
 
 /**
- * End-to-end: the predictor's batched path (specialization cache,
- * per-kernel prediction memo, residual forests) must reproduce the
+ * End-to-end: the predictor's batched path (per-kernel prediction
+ * memo, shared-prefix walk of the misses) must reproduce the
  * pre-FlatForest scalar reference bit for bit, including on repeat
  * batches where every config is served from the memo.
  */
@@ -710,6 +714,384 @@ TEST(FlatForest, SimdModeParsingRoundTrips)
     EXPECT_EQ(resolveSimdPath(SimdMode::Scalar), SimdPath::Float64);
     EXPECT_EQ(resolveSimdPath(SimdMode::Fallback),
               SimdPath::FixedPortable);
+}
+
+// ---------------------------------------------------------------------
+// Shared-prefix walk: scalar predictBatch walks each run of rows with
+// one kernel prefix once per tree (see flat_forest.hpp).
+
+/**
+ * Independent reference with the flat engine's split rule: walk the
+ * training trees, going right iff `feature > threshold`, and sum the
+ * leaves in tree order. Equal to RandomForest::predict on every row
+ * without NaN; its `<=` sends a NaN feature right where the flat
+ * engines (both walks alike) send it left.
+ */
+double
+greaterWalk(const RandomForest &rf, const FeatureVector &q)
+{
+    double s = 0.0;
+    for (const auto &tree : rf.trees()) {
+        const auto &nodes = tree.nodes();
+        std::size_t i = 0;
+        while (nodes[i].feature >= 0) {
+            const auto &n = nodes[i];
+            i = static_cast<std::size_t>(
+                q[static_cast<std::size_t>(n.feature)] > n.threshold
+                    ? n.right
+                    : n.left);
+        }
+        s += nodes[i].value;
+    }
+    return s / static_cast<double>(rf.treeCount());
+}
+
+bool
+hasNaN(const FeatureVector &q)
+{
+    return std::any_of(q.begin(), q.end(),
+                       [](double v) { return std::isnan(v); });
+}
+
+/**
+ * One batch through predictBatch, checked row by row against
+ * greaterWalk, RandomForest::predict (rows without NaN) and the row
+ * walk: the single-query path, and a tree-major batch of the same rows
+ * with a row of another kernel between every two, so that no run is
+ * longer than one row.
+ */
+void
+expectRowWalkResults(const RandomForest &rf, const FlatForest &ff,
+                     const std::vector<FeatureVector> &qs)
+{
+    std::vector<double> out(qs.size());
+    ff.predictBatch(qs, out);
+
+    std::vector<FeatureVector> split;
+    for (std::size_t i = 0; i < qs.size(); ++i) {
+        split.push_back(qs[i]);
+        FeatureVector other = qs[i];
+        other[0] = 1000.0 + static_cast<double>(i);
+        split.push_back(other);
+    }
+    std::vector<double> split_out(split.size());
+    ff.predictBatch(split, split_out);
+
+    for (std::size_t i = 0; i < qs.size(); ++i) {
+        EXPECT_TRUE(bitEqual(out[i], greaterWalk(rf, qs[i])))
+            << "row " << i << " of " << qs.size();
+        if (!hasNaN(qs[i])) {
+            EXPECT_TRUE(bitEqual(out[i], rf.predict(qs[i])))
+                << "row " << i << " of " << qs.size();
+        }
+        EXPECT_TRUE(bitEqual(out[i], ff.predict(qs[i])))
+            << "row " << i << " of " << qs.size();
+        EXPECT_TRUE(bitEqual(out[i], split_out[2 * i]))
+            << "row " << i << " of " << qs.size();
+    }
+}
+
+/**
+ * n rows that share their first `shared` features. The rest vary per
+ * row: kernel features (below numKernelFeatures) continuously, config
+ * features over a few levels each, like the configuration grid.
+ */
+std::vector<FeatureVector>
+prefixRun(std::size_t n, std::size_t shared, Pcg32 &rng)
+{
+    FeatureVector base{};
+    for (auto &x : base)
+        x = rng.uniform(-6.0, 14.0);
+    std::vector<FeatureVector> qs(n, base);
+    for (auto &q : qs) {
+        for (std::size_t f = shared;
+             f < static_cast<std::size_t>(numFeatures); ++f) {
+            if (f < static_cast<std::size_t>(numKernelFeatures)) {
+                q[f] = rng.uniform(-6.0, 14.0);
+            } else {
+                const std::uint32_t levels = 2 + static_cast<std::uint32_t>(f % 6);
+                q[f] = -4.0 + 16.0 * rng.nextBounded(levels) /
+                                  static_cast<double>(levels - 1);
+            }
+        }
+    }
+    return qs;
+}
+
+/** Depth-16 trees of thousands of nodes, like the served model's. */
+RandomForest
+deepForest(std::uint64_t seed)
+{
+    ForestOptions opts;
+    opts.numTrees = 4;
+    opts.seed = seed;
+    opts.tree.maxDepth = 16;
+    opts.tree.minSamplesLeaf = 1;
+    opts.tree.minSamplesSplit = 2;
+    RandomForest rf;
+    rf.fit(randomData(4000, seed ^ 0x5eedULL), opts);
+    return rf;
+}
+
+TEST(SharedPrefixWalk, MatchesRowWalkAtEveryPrefixLength)
+{
+    // Prefix lengths 0 and 1 leave the kernel features varying, so each
+    // row is its own run and the batch takes the row walk; 10 is one
+    // kernel against many configurations; numFeatures is one row
+    // repeated, where every split moves the whole set.
+    const auto rf = randomForest(61, 16);
+    const auto ff = FlatForest::compile(rf);
+    Pcg32 rng(62);
+    for (const std::size_t shared :
+         {std::size_t{0}, std::size_t{1},
+          static_cast<std::size_t>(numKernelFeatures),
+          static_cast<std::size_t>(numFeatures)}) {
+        SCOPED_TRACE(shared);
+        expectRowWalkResults(rf, ff, prefixRun(336, shared, rng));
+    }
+}
+
+TEST(SharedPrefixWalk, DeepTreesMatchRowWalk)
+{
+    const auto rf = deepForest(63);
+    std::size_t deepest = 0;
+    for (const auto &tree : rf.trees()) {
+        EXPECT_GE(tree.nodeCount(), 2000u);
+        deepest = std::max(deepest, static_cast<std::size_t>(tree.depth()));
+    }
+    EXPECT_EQ(deepest, 16u);
+    const auto ff = FlatForest::compile(rf);
+    Pcg32 rng(64);
+    for (const std::size_t shared :
+         {std::size_t{0}, std::size_t{1},
+          static_cast<std::size_t>(numKernelFeatures),
+          static_cast<std::size_t>(numFeatures)}) {
+        SCOPED_TRACE(shared);
+        expectRowWalkResults(rf, ff, prefixRun(336, shared, rng));
+    }
+    // Free features with all-distinct values: no two rows share a
+    // split outcome by value, only by where thresholds fall.
+    auto qs = prefixRun(200, numKernelFeatures, rng);
+    for (std::size_t i = 0; i < qs.size(); ++i)
+        for (std::size_t f = numKernelFeatures;
+             f < static_cast<std::size_t>(numFeatures); ++f)
+            qs[i][f] = rng.uniform(-6.0, 14.0);
+    expectRowWalkResults(rf, ff, qs);
+}
+
+TEST(SharedPrefixWalk, RunLengthsAcrossCutOverAndBitsetWidth)
+{
+    // Every length up to 70 crosses the row-walk cut-over and the first
+    // bitset word boundary; the rest straddle later word boundaries and
+    // the bitset width, past which a run is walked in chunks.
+    const auto rf = randomForest(65, 8);
+    const auto ff = FlatForest::compile(rf);
+    Pcg32 rng(66);
+    std::vector<std::size_t> lengths;
+    for (std::size_t n = 1; n <= 70; ++n)
+        lengths.push_back(n);
+    for (const std::size_t n : {127u, 128u, 129u, 255u, 256u, 257u, 511u,
+                                512u, 513u, 700u, 1024u, 1025u})
+        lengths.push_back(n);
+    for (const std::size_t n : lengths) {
+        SCOPED_TRACE(n);
+        expectRowWalkResults(rf, ff,
+                             prefixRun(n, numKernelFeatures, rng));
+    }
+}
+
+TEST(SharedPrefixWalk, ConcatenatedKernelsMatchRowWalk)
+{
+    // A broker flush: several kernels' rows back to back, long runs
+    // (walked shared, one of them in chunks) between short ones (row
+    // walked, including a short run right after a long one).
+    const auto rf = deepForest(67);
+    const auto ff = FlatForest::compile(rf);
+    Pcg32 rng(68);
+    std::vector<FeatureVector> qs;
+    for (const std::size_t n :
+         {3u, 336u, 20u, 1u, 16u, 15u, 600u, 17u, 64u, 2u})
+        for (const auto &q : prefixRun(n, numKernelFeatures, rng))
+            qs.push_back(q);
+    expectRowWalkResults(rf, ff, qs);
+}
+
+TEST(SharedPrefixWalk, NonFiniteAndSignedZeroValues)
+{
+    const auto rf = deepForest(69);
+    const auto ff = FlatForest::compile(rf);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    Pcg32 rng(70);
+    auto qs = prefixRun(200, numKernelFeatures, rng);
+    const double specials[] = {nan, inf, -inf, -0.0, 0.0, 1.5, 3.0};
+    for (std::size_t i = 0; i < qs.size(); ++i) {
+        auto &q = qs[i];
+        // Shared features holding NaN, +-inf and -0.0.
+        q[2] = nan;
+        q[3] = inf;
+        q[4] = -inf;
+        q[5] = -0.0;
+        // Free: a mix of specials; +0.0 and -0.0 alone (one distinct
+        // value, two bit patterns); one value with some NaN rows; and
+        // all-distinct values.
+        q[10] = specials[i % std::size(specials)];
+        q[11] = (i % 2) ? -0.0 : 0.0;
+        q[12] = (i % 7 == 0) ? nan : 2.5;
+        q[13] = -4.0 + 0.07 * static_cast<double>(i);
+    }
+    expectRowWalkResults(rf, ff, qs);
+
+    // Every free value a split can see, on a run that is all specials.
+    for (std::size_t i = 0; i < qs.size(); ++i)
+        for (std::size_t f = numKernelFeatures;
+             f < static_cast<std::size_t>(numFeatures); ++f)
+            qs[i][f] = specials[(i + f) % std::size(specials)];
+    expectRowWalkResults(rf, ff, qs);
+
+    // NaN beside a value above every threshold: each split on a free
+    // feature sends the finite rows right and the NaN rows left.
+    for (std::size_t i = 0; i < qs.size(); ++i)
+        for (std::size_t f = numKernelFeatures;
+             f < static_cast<std::size_t>(numFeatures); ++f)
+            qs[i][f] = (i + f) % 3 == 0 ? nan : 100.0;
+    expectRowWalkResults(rf, ff, qs);
+}
+
+TEST(SharedPrefixWalk, ValuesEqualToThresholds)
+{
+    // A value equal to a split's threshold goes left. Pin the kernel
+    // features to the thresholds of the splits tree 0 meets on the
+    // run's path, and draw every free value from the thresholds the
+    // forest splits that feature at, so ties happen at shared and at
+    // free splits alike.
+    const auto rf = deepForest(73);
+    const auto ff = FlatForest::compile(rf);
+    std::vector<std::vector<double>> thresholds(numFeatures);
+    for (const auto &tree : rf.trees())
+        for (const auto &n : tree.nodes())
+            if (n.feature >= 0)
+                thresholds[static_cast<std::size_t>(n.feature)].push_back(
+                    n.threshold);
+
+    Pcg32 rng(74);
+    FeatureVector base{};
+    for (auto &x : base)
+        x = rng.uniform(-4.0, 12.0);
+    std::array<bool, numFeatures> pinned{};
+    const auto &nodes = rf.trees()[0].nodes();
+    std::size_t ties = 0;
+    for (std::size_t i = 0; nodes[i].feature >= 0;) {
+        const auto f = static_cast<std::size_t>(nodes[i].feature);
+        if (f < static_cast<std::size_t>(numKernelFeatures) && !pinned[f]) {
+            base[f] = nodes[i].threshold;
+            pinned[f] = true;
+            ++ties;
+        }
+        i = static_cast<std::size_t>(base[f] > nodes[i].threshold
+                                         ? nodes[i].right
+                                         : nodes[i].left);
+    }
+    ASSERT_GT(ties, 0u);
+
+    // Free values drawn from every threshold (many distinct values)
+    // and from five of them (a config-like handful).
+    for (const std::uint32_t pool : {0u, 5u}) {
+        std::vector<FeatureVector> qs(300, base);
+        for (auto &q : qs)
+            for (std::size_t f = numKernelFeatures;
+                 f < static_cast<std::size_t>(numFeatures); ++f)
+                q[f] = thresholds[f][rng.nextBounded(
+                    pool != 0 ? pool
+                              : static_cast<std::uint32_t>(
+                                    thresholds[f].size()))];
+        expectRowWalkResults(rf, ff, qs);
+    }
+}
+
+/**
+ * Three hand-built trees whose leaves cancel only in tree order: tree 0
+ * adds 1 or 3, tree 1 adds 2^53 or 2^54 and tree 2 subtracts the same
+ * (both split on feature 10 at 0.5). Tree order absorbs the small leaf
+ * into the large one before the cancellation; any other order keeps
+ * it, so a sum in another order (by the depth the leaves sit at, by
+ * walk order, reversed) changes the result. The trees have depths 3, 1
+ * and 2, so the walk reaches tree 1's leaves first.
+ */
+TEST(SharedPrefixWalk, LeavesAccumulateInTreeOrder)
+{
+    std::stringstream text(
+        "forest trees 3\n"
+        "tree 11 3\n"
+        "12 0.5 1 2 0\n13 0.5 3 4 0\n13 0.5 5 6 0\n14 0.5 7 8 0\n"
+        "-1 0 0 0 3\n-1 0 0 0 1\n14 0.5 9 10 0\n-1 0 0 0 1\n"
+        "-1 0 0 0 3\n-1 0 0 0 3\n-1 0 0 0 1\n"
+        "tree 3 1\n"
+        "10 0.5 1 2 0\n-1 0 0 0 9007199254740992\n"
+        "-1 0 0 0 18014398509481984\n"
+        "tree 7 2\n"
+        "11 0.5 1 2 0\n10 0.5 3 4 0\n10 0.5 5 6 0\n"
+        "-1 0 0 0 -9007199254740992\n-1 0 0 0 -18014398509481984\n"
+        "-1 0 0 0 -9007199254740992\n-1 0 0 0 -18014398509481984\n");
+    const auto rf = RandomForest::load(text);
+    const auto ff = FlatForest::compile(rf);
+
+    std::vector<FeatureVector> qs(64);
+    bool order_matters = false;
+    for (std::size_t i = 0; i < qs.size(); ++i) {
+        qs[i].fill(0.25);
+        for (std::size_t b = 0; b < 5; ++b)
+            qs[i][10 + b] = ((i >> b) & 1) ? 1.0 : 0.0;
+        const double a = rf.trees()[0].predict(qs[i]);
+        const double big = rf.trees()[1].predict(qs[i]);
+        const double neg = rf.trees()[2].predict(qs[i]);
+        const double in_order = ((0.0 + a) + big) + neg;
+        order_matters = order_matters || !bitEqual(in_order, (big + neg) + a) ||
+                        !bitEqual(in_order, (a + neg) + big);
+        EXPECT_FALSE(bitEqual(in_order, (big + neg) + a));
+    }
+    EXPECT_TRUE(order_matters);
+    expectRowWalkResults(rf, ff, qs);
+}
+
+TEST(SharedPrefixWalk, ConcurrentWalksOfOneForest)
+{
+    // Two threads walk one forest at once, each with its own runs; the
+    // walk's scratch is per thread and the forest is read-only.
+    const auto rf = deepForest(71);
+    const auto ff = FlatForest::compile(rf);
+    Pcg32 rng(72);
+    const std::vector<std::vector<FeatureVector>> batches = {
+        prefixRun(336, numKernelFeatures, rng),
+        prefixRun(40, numKernelFeatures, rng),
+        prefixRun(700, numKernelFeatures, rng),
+        prefixRun(17, numKernelFeatures, rng),
+    };
+    std::vector<std::vector<double>> expected;
+    for (const auto &qs : batches) {
+        std::vector<double> ref(qs.size());
+        for (std::size_t i = 0; i < qs.size(); ++i)
+            ref[i] = greaterWalk(rf, qs[i]);
+        expected.push_back(std::move(ref));
+    }
+
+    std::atomic<int> mismatches{0};
+    const auto worker = [&](std::size_t first) {
+        for (int round = 0; round < 6; ++round) {
+            for (std::size_t b = first; b < batches.size(); b += 2) {
+                std::vector<double> out(batches[b].size());
+                ff.predictBatch(batches[b], out);
+                for (std::size_t i = 0; i < out.size(); ++i)
+                    if (!bitEqual(out[i], expected[b][i]))
+                        mismatches.fetch_add(1);
+            }
+        }
+    };
+    std::thread a(worker, 0);
+    std::thread b(worker, 1);
+    a.join();
+    b.join();
+    EXPECT_EQ(mismatches.load(), 0);
 }
 
 } // namespace

@@ -15,12 +15,17 @@
 #ifdef __linux__
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <signal.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <thread>
@@ -469,6 +474,103 @@ TEST(NetServer, ServesMultipleConcurrentConnections)
     EXPECT_EQ(completed.load(), kClients);
     EXPECT_EQ(server.net().accepted(),
               static_cast<std::uint64_t>(kClients));
+}
+
+/** One Stats round trip; the named counter, or 0 if absent. */
+std::uint64_t
+statsCounter(WireClient &client, const std::string &name)
+{
+    std::vector<std::uint8_t> out;
+    wire::encodeStatsReq(out);
+    client.sendBytes(out);
+    const auto frame = client.readFrame();
+    EXPECT_TRUE(frame && frame->type == wire::MsgType::Stats);
+    if (!frame || frame->type != wire::MsgType::Stats)
+        return 0;
+    const auto stats = wire::decodeStats(frame->payload);
+    EXPECT_TRUE(stats.has_value());
+    if (!stats)
+        return 0;
+    for (const auto &[key, value] : stats->entries)
+        if (key == name)
+            return value;
+    return 0;
+}
+
+TEST(NetServer, SurvivesFileDescriptorExhaustion)
+{
+    // The server runs in a child whose descriptor limit leaves room for
+    // its listen socket, epoll fd and eventfd plus two connections; the
+    // parent connects until the child's accept fails with EMFILE.
+    int port_pipe[2];
+    ASSERT_EQ(::pipe(port_pipe), 0);
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+        ::close(port_pipe[0]);
+        const int lowest_free = ::open("/dev/null", O_RDONLY);
+        ::close(lowest_free);
+        const rlimit lim{static_cast<rlim_t>(lowest_free + 5),
+                         static_cast<rlim_t>(lowest_free + 5)};
+        if (lowest_free < 0 || ::setrlimit(RLIMIT_NOFILE, &lim) != 0)
+            ::_exit(2);
+        FleetServerOptions sopts;
+        sopts.jobs = 1;
+        FleetServer fleet(std::make_shared<ml::GroundTruthPredictor>(
+                              hw::ApuParams::defaults()),
+                          sopts);
+        NetServerOptions nopts;
+        nopts.session.optimizedRuns = 1;
+        NetServer net(fleet, nopts);
+        const std::uint16_t port = net.port();
+        if (::write(port_pipe[1], &port, sizeof(port)) != sizeof(port))
+            ::_exit(3);
+        ::close(port_pipe[1]);
+        net.run(); // until the parent kills us
+        ::_exit(0);
+    }
+    ::close(port_pipe[1]);
+    std::uint16_t port = 0;
+    const ssize_t got = ::read(port_pipe[0], &port, sizeof(port));
+    ::close(port_pipe[0]);
+    ASSERT_EQ(got, static_cast<ssize_t>(sizeof(port)));
+
+    {
+        WireClient first(port);
+        const auto opened = first.open(1, "color");
+        std::vector<std::unique_ptr<WireClient>> extra;
+        for (int i = 0; i < 6; ++i)
+            extra.push_back(std::make_unique<WireClient>(port));
+
+        std::uint64_t failures = 0;
+        for (int attempt = 0; attempt < 200 && failures == 0; ++attempt) {
+            failures = statsCounter(first, "serve.accept_failures");
+            if (failures == 0)
+                std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        }
+        EXPECT_GT(failures, 0u);
+
+        // The connections the server has keep being served...
+        for (int i = 0; i < 3; ++i) {
+            first.step(opened.session);
+            const auto frame = first.readFrame();
+            ASSERT_TRUE(frame.has_value());
+            EXPECT_EQ(frame->type, wire::MsgType::Decision);
+        }
+        // ...and the still-readable listen socket is retried after a
+        // backoff rather than spun on: a busy loop would fail accept
+        // thousands of times in this window.
+        std::this_thread::sleep_for(std::chrono::milliseconds(300));
+        const std::uint64_t later =
+            statsCounter(first, "serve.accept_failures");
+        EXPECT_GE(later, failures);
+        EXPECT_LT(later - failures, 50u);
+    }
+    ::kill(child, SIGKILL);
+    int status = 0;
+    ::waitpid(child, &status, 0);
+    // Killed by us, not dead on its own.
+    EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
 }
 
 TEST(NetServer, StopUnblocksRunFromAnotherThread)
