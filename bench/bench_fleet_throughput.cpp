@@ -3,19 +3,18 @@
  * google-benchmark throughput study of the fleet decision server
  * (serve::runFleet) against the naive one-session-at-a-time baseline.
  *
- * The baseline disables everything the serve subsystem adds: no
- * per-session kernel cache (kernelCacheCap = 0, so every decision
- * re-walks the forests through the predictor's one-entry thread_local
- * memo, which thrashes under session interleaving) and no inference
- * broker. The served configuration is the server's default: per-session
- * multi-kernel prediction memos plus cross-session batched FlatForest
- * walks. Both run the identical fleet workload and produce
- * byte-identical traces (pinned by test_fleet_determinism); only the
- * decisions-per-second differ.
+ * The baseline disables the per-session kernel cache
+ * (kernelCacheCap = 0, so every decision re-walks the forests through
+ * the predictor's one-entry thread_local memo, which thrashes under
+ * session interleaving) and runs one worker. The served configuration
+ * is the server's default: per-session multi-kernel prediction memos,
+ * misses walked by the deciding worker. Both run the identical fleet
+ * workload and produce byte-identical traces (pinned by
+ * test_fleet_determinism); only the decisions-per-second differ.
  *
  * Two sharded studies ride on the same workload: BM_FleetSharded
  * splits the 64-session fleet over tenant-hash shards (per-shard
- * session managers, brokers and queues, drained by one work-stealing
+ * session managers and queues, drained by one work-stealing
  * pool), and BM_FleetMassive holds a 100k-session synthetic fleet with
  * overload shedding enabled - the scale study behind the "Fleet
  * serving" numbers in README/DESIGN. Every benchmark stamps decision
@@ -83,10 +82,6 @@ report(benchmark::State &state, const serve::FleetResult &last,
     state.counters["decisions_per_s"] = benchmark::Counter(
         static_cast<double>(state.iterations() * decisions),
         benchmark::Counter::kIsRate);
-    const auto it =
-        last.metrics.histograms.find("broker.batch_requests");
-    state.counters["batch_mean_requests"] =
-        it != last.metrics.histograms.end() ? it->second.mean : 1.0;
     const auto lat = bench::LatencySummary::fromSnapshot(
         last.metrics, "serve.decision_latency_ns");
     state.counters["latency_p50_ns"] = lat.p50;
@@ -101,8 +96,7 @@ report(benchmark::State &state, const serve::FleetResult &last,
 
 /**
  * Naive serving: one worker steps sessions round-robin with no session
- * cache and no broker - what hosting N tenants on the raw predictor
- * costs.
+ * cache - what hosting N tenants on the raw predictor costs.
  */
 void
 BM_FleetNaiveSequential(benchmark::State &state)
@@ -110,7 +104,6 @@ BM_FleetNaiveSequential(benchmark::State &state)
     const auto sessions = static_cast<std::size_t>(state.range(0));
     auto opts = fleet(sessions);
     opts.server.jobs = 1;
-    opts.server.batching = false;
     opts.session.kernelCacheCap = 0;
 
     forest(); // train outside the timed region
@@ -131,17 +124,16 @@ BENCHMARK(BM_FleetNaiveSequential)
 
 /**
  * The fleet server's default path: per-session kernel memos, misses
- * coalesced across sessions by the inference broker.
+ * walked by the worker that makes the decision.
  */
 void
 BM_FleetServed(benchmark::State &state)
 {
     const auto sessions = static_cast<std::size_t>(state.range(0));
     auto opts = fleet(sessions);
-    // Eight workers regardless of core count: on a small host the
-    // oversubscription costs nothing (decisions time-slice) and keeps
-    // several decisions in flight, which is what lets the broker
-    // coalesce their evaluations (see batch_mean_requests).
+    // Eight workers regardless of core count, as in the committed
+    // baselines: on a small host the oversubscription only time-slices
+    // decisions.
     opts.server.jobs = 8;
 
     forest(); // train outside the timed region
@@ -159,11 +151,9 @@ BENCHMARK(BM_FleetServed)
 
 /**
  * The sharded server on the served workload: tenant-hash shards split
- * the session-manager and broker locks, the one pool work-steals
- * across shard queues. Args are {shards, jobs} at a fixed 64
- * sessions - on a single-core host the winning config trades worker
- * oversubscription (broker coalescing) against context-switch cost,
- * so both axes are in the committed baseline.
+ * the session-manager locks, the one pool work-steals across shard
+ * queues. Args are {shards, jobs} at a fixed 64 sessions; both axes
+ * are in the committed baseline.
  */
 void
 BM_FleetSharded(benchmark::State &state)

@@ -5,13 +5,15 @@
  *
  * Two claims are measured:
  *
- *  1. Swap pause (BM_BrokerEvaluate): publication is one atomic store,
- *     so a publish storm racing broker flushes must not block or slow
+ *  1. Swap pause (BM_SessionPredictorMiss): publication is one pointer
+ *     exchange under a lock held for nothing else, so a publish storm
+ *     racing a session predictor's memo misses must not block
  *     evaluation. The swapstorm:1 variant runs a thread republishing
- *     generations as fast as it can while clients evaluate; the
+ *     generations as fast as it can while the client evaluates; the
  *     blocked_evaluates counter - evaluations that took refit-scale
- *     time (> 50 ms) - has a target of ZERO, and throughput should
- *     match swapstorm:0 within noise.
+ *     time (> 50 ms) - has a target of ZERO. Throughput should stay
+ *     near swapstorm:0; on a 4-vCPU host the storm, running on its own
+ *     core at ~1M publishes/s, costs the client about a fifth.
  *
  *  2. Accuracy recovery (BM_FleetAdaptsToShift): the fleet runs on
  *     hardware whose DRAM bus is a quarter the width the forest was
@@ -41,12 +43,14 @@
 #include <vector>
 
 #include "bench_simd_main.hpp"
-#include "common/rng.hpp"
+#include "hw/config.hpp"
+#include "kernel/perf_model.hpp"
 #include "ml/trainer.hpp"
 #include "online/forest_handle.hpp"
-#include "serve/broker.hpp"
 #include "serve/server.hpp"
+#include "serve/session_predictor.hpp"
 #include "trace/decision.hpp"
+#include "workload/training.hpp"
 
 using namespace gpupm;
 
@@ -84,23 +88,30 @@ altForest()
 }
 
 /**
- * Broker evaluation throughput, optionally under a publish storm
- * (state.range(0) != 0). Single client thread - the metric is per-call
- * latency of the flush path, not queueing effects.
+ * Memo-miss latency of a handle-backed SessionPredictor, optionally
+ * under a publish storm (state.range(0) != 0): every iteration clears
+ * the cache, so predictBatch acquires a generation and walks all of
+ * one kernel's kRows configs. Single client thread - the metric is
+ * per-call latency of the miss path, not queueing effects.
  */
 void
-BM_BrokerEvaluate(benchmark::State &state)
+BM_SessionPredictorMiss(benchmark::State &state)
 {
     constexpr std::size_t kRows = 16;
     online::ForestHandle handle(forest());
-    serve::InferenceBroker broker(handle);
+    serve::SessionPredictor sp(forest(), &handle, hw::paperApu());
 
-    std::vector<ml::FeatureVector> rows(kRows);
-    Pcg32 rng(0xbe7cULL, 0x5eedULL | 1);
-    for (auto &f : rows)
-        for (auto &v : f)
-            v = rng.uniform(0.0, 1.0);
-    std::vector<double> tl(kRows), gp(kRows);
+    const kernel::GroundTruthModel truth{hw::ApuParams::defaults()};
+    const auto k = workload::trainingCorpus(1, 0xbe7cULL)[0];
+    const auto c0 = hw::ConfigSpace::maxPerformance();
+    ml::PredictionQuery q;
+    q.counters = truth.counters(k, c0, truth.estimate(k, c0));
+    q.instructions = k.instructions();
+    const hw::ConfigSpace space;
+    std::vector<hw::HwConfig> configs;
+    for (std::size_t i = 0; i < kRows; ++i)
+        configs.push_back(space.at((i * 29) % space.size()));
+    std::vector<ml::Prediction> out(kRows);
 
     std::atomic<bool> stop{false};
     std::atomic<std::uint64_t> publishes{0};
@@ -121,17 +132,17 @@ BM_BrokerEvaluate(benchmark::State &state)
     }
 
     std::uint64_t blocked = 0;
-    serve::InferenceBroker::DecisionScope scope(broker);
     for (auto _ : state) {
         const auto t0 = std::chrono::steady_clock::now();
-        broker.evaluate(rows, tl, gp);
+        sp.clearCache();
+        sp.predictBatch(q, configs, out);
         const auto dt = std::chrono::steady_clock::now() - t0;
-        // Refit-scale pause (a flush waiting out a retrain/publish):
+        // Refit-scale pause (a miss waiting out a retrain/publish):
         // must never happen. The bound is far above scheduler jitter on
         // a loaded single-core host but far below any forest refit.
         if (dt > std::chrono::milliseconds(50))
             ++blocked;
-        benchmark::DoNotOptimize(tl.data());
+        benchmark::DoNotOptimize(out.data());
     }
 
     stop.store(true, std::memory_order_release);
@@ -144,7 +155,7 @@ BM_BrokerEvaluate(benchmark::State &state)
         static_cast<double>(blocked);
     state.counters["publishes"] = static_cast<double>(publishes.load());
 }
-BENCHMARK(BM_BrokerEvaluate)
+BENCHMARK(BM_SessionPredictorMiss)
     ->Arg(0)
     ->Arg(1)
     ->ArgName("swapstorm")

@@ -321,9 +321,12 @@ DecisionTree::predict(const FeatureVector &f) const
         const Node &n = _nodes[static_cast<std::size_t>(i)];
         if (n.feature < 0)
             return n.value;
-        i = f[static_cast<std::size_t>(n.feature)] <= n.threshold
-                ? n.left
-                : n.right;
+        // Right iff value > threshold, the rule of every FlatForest
+        // engine, so a NaN feature goes left here as it does there.
+        // Training rows hold no NaN: this only decides NaN inputs.
+        i = f[static_cast<std::size_t>(n.feature)] > n.threshold
+                ? n.right
+                : n.left;
     }
 }
 

@@ -616,7 +616,7 @@ FlatForest::predictBatch(std::span<const FeatureVector> x,
     }
 
     // Runs of contiguous rows with the same kernel prefix (one kernel's
-    // configs; a broker flush concatenates several kernels) take the
+    // configs; a batch may concatenate several kernels) take the
     // shared-prefix walk when long enough. Everything between them is
     // row-walked in maximal segments, so short runs still interleave.
     const auto same_kernel = [&](std::size_t a, std::size_t b) {

@@ -60,12 +60,12 @@ class RandomForestPredictor : public PerfPowerPredictor
                       std::span<Prediction> out) const override;
 
     /**
-     * Broker hook: raw forest outputs for prebuilt feature rows that
-     * may mix *different kernels* in one batch. predictBatch scores one
-     * kernel against many configs; an inference broker coalescing
-     * requests from many concurrent sessions needs the transpose - many
-     * (kernel, config) rows walked tree-major in a single pass. Each
-     * row is combineFeatures(makeKernelFeatures(counters),
+     * Raw forest outputs for prebuilt feature rows, which may mix
+     * different kernels in one batch. predictBatch builds its rows from
+     * the paper model's config features; serve::SessionPredictor builds
+     * its own (its session's hardware model's config descriptors) and
+     * walks only its memo misses through here. Each row is
+     * combineFeatures(makeKernelFeatures(counters),
      * configFeatures(config)); time_log[i] receives the time forest's
      * log(seconds-per-instruction) output (callers scale by
      * std::exp(time_log[i]) * instructionProxy(counters)), gpu_power[i]

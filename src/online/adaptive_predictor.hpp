@@ -2,12 +2,12 @@
  * @file
  * PerfPowerPredictor facade over a hot-swappable ForestHandle.
  *
- * The broker-less paths (gpupm run, a fleet with batching disabled)
- * talk to a PerfPowerPredictor directly; this adapter lets them ride
- * the same RCU publication the broker uses. Each predict/predictBatch
- * call acquires one generation snapshot and evaluates entirely against
- * it, so a single governor decision never mixes generations - the same
- * batch-boundary pickup contract the broker provides per flush.
+ * Single-session paths (gpupm run) talk to a PerfPowerPredictor
+ * directly; this adapter lets them ride the same RCU publication the
+ * fleet's session predictors use. Each predict/predictBatch call
+ * acquires one generation snapshot and evaluates entirely against it,
+ * so one call never mixes generations - the same per-call contract
+ * serve::SessionPredictor gives the fleet.
  *
  * The per-thread kernel memo inside RandomForestPredictor is
  * keyed on the predictor's instanceId, so a swap naturally invalidates

@@ -6,15 +6,21 @@
  * The online-learning loop retrains forests in the background while the
  * fleet server keeps serving predictions. The handle is the single
  * synchronization point between the two: a retrain publishes a new
- * immutable ForestGeneration with one atomic store, and readers (the
- * inference broker, session predictors, the adaptive run-path
- * predictor) acquire a snapshot with one atomic load. Nobody blocks,
- * ever - there is no reader registration, no grace period to wait out,
- * and no lock on either side; old generations stay alive until the last
- * shared_ptr drops.
+ * immutable ForestGeneration by swapping one pointer, and readers (the
+ * fleet's session predictors, the adaptive run-path predictor) acquire
+ * a snapshot by copying it. Nobody waits for a refit - there is no
+ * reader registration and no grace period to wait out; old generations
+ * stay alive until the last shared_ptr drops.
  *
- * Consistency contract: a reader that acquires a generation at a batch
- * boundary and evaluates the whole batch against that snapshot gets
+ * The pointer sits behind a mutex held only for that swap or copy (one
+ * reference-count update); the outgoing generation is released after
+ * the lock. std::atomic<std::shared_ptr> costs the same here (libstdc++
+ * guards it with a spinlock bit), but its load() releases that lock
+ * with a relaxed store, so its pointer read is unordered with the next
+ * store - a data race ThreadSanitizer reports under the hot-swap fuzz.
+ *
+ * Consistency contract: a reader that acquires a generation once per
+ * call and evaluates the whole call against that snapshot gets
  * results bit-identical to that generation's forests regardless of
  * concurrent publishes (the generation is immutable). Per-kernel memos
  * must be keyed by ordinal() so a swap invalidates them (see
@@ -24,9 +30,10 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <utility>
 
 #include "ml/trainer.hpp"
 
@@ -41,20 +48,18 @@ struct ForestGeneration
 };
 
 /**
- * Atomic shared-pointer publication of the current generation.
- * acquire() and ordinal() are safe from any thread at any time;
- * publish() calls are externally ordered (one retraining loop).
+ * Publication of the current generation. acquire(), ordinal() and
+ * publish() are safe from any thread at any time; publishes are
+ * numbered in the order they take the lock.
  */
 class ForestHandle
 {
   public:
     explicit ForestHandle(
         std::shared_ptr<const ml::RandomForestPredictor> baseline)
+        : _current(std::make_shared<ForestGeneration>(
+              ForestGeneration{0, std::move(baseline)}))
     {
-        auto g = std::make_shared<ForestGeneration>();
-        g->ordinal = 0;
-        g->predictor = std::move(baseline);
-        _current.store(std::move(g), std::memory_order_release);
     }
 
     ForestHandle(const ForestHandle &) = delete;
@@ -64,7 +69,8 @@ class ForestHandle
     std::shared_ptr<const ForestGeneration>
     acquire() const
     {
-        return _current.load(std::memory_order_acquire);
+        std::lock_guard lock(_mutex);
+        return _current;
     }
 
     /** Ordinal of the current generation. */
@@ -83,15 +89,21 @@ class ForestHandle
     publish(std::shared_ptr<const ml::RandomForestPredictor> next)
     {
         auto g = std::make_shared<ForestGeneration>();
-        g->ordinal = acquire()->ordinal + 1;
         g->predictor = std::move(next);
+        // Declared before the lock so the outgoing generation (possibly
+        // its last reference, and with it whole forests) is freed after
+        // the unlock, never while readers wait.
+        std::shared_ptr<const ForestGeneration> old;
+        std::lock_guard lock(_mutex);
+        g->ordinal = _current->ordinal + 1;
         const std::uint64_t ord = g->ordinal;
-        _current.store(std::move(g), std::memory_order_release);
+        old = std::exchange(_current, std::move(g));
         return ord;
     }
 
   private:
-    std::atomic<std::shared_ptr<const ForestGeneration>> _current;
+    mutable std::mutex _mutex;
+    std::shared_ptr<const ForestGeneration> _current;
 };
 
 } // namespace gpupm::online

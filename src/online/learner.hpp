@@ -11,8 +11,8 @@
  * stream in, folds each record into a DriftDetector, and when drift
  * sustains it refits both forests on a private background thread pool
  * and publishes the result through the ForestHandle. Serving never
- * pauses: publication is one atomic store, and readers pick the new
- * generation up at their next batch boundary.
+ * pauses: publication is one pointer swap, and readers pick the new
+ * generation up at their next call.
  *
  * Determinism contract (pinned by the fleet golden test with
  * --online-learn on): the learner is an observer until the detector

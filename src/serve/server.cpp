@@ -24,9 +24,9 @@ FleetServer::FleetServer(
     GPUPM_ASSERT(predictor != nullptr, "fleet server needs a predictor");
     GPUPM_ASSERT(_opts.shards > 0, "fleet server needs at least one shard");
 
-    auto rf = std::dynamic_pointer_cast<const ml::RandomForestPredictor>(
-        predictor);
-    GPUPM_ASSERT(!_opts.forestHandle || rf,
+    GPUPM_ASSERT(!_opts.forestHandle ||
+                     dynamic_cast<const ml::RandomForestPredictor *>(
+                         predictor.get()),
                  "online learning requires a Random Forest predictor");
 
     if (!_opts.model)
@@ -46,29 +46,11 @@ FleetServer::FleetServer(
             _opts.powercap, _telemetry.get());
     }
 
-    const std::size_t jobs = exec::ThreadPool::resolveJobs(_opts.jobs);
-    // A lone worker can never have two decisions in flight, so the
-    // broker could only ever flush batches of one: every memo miss
-    // would pay the coalescing round trip with nothing to coalesce
-    // (~7% of fleet throughput on the dev host). Route misses straight
-    // at the predictor instead - the trace is invariant either way
-    // (pinned by BatchingOnAndOffProduceTheSameTrace). Online learning
-    // keeps the broker regardless: it is also the generation-following
-    // evaluation point for hot-swapped forests.
-    const bool batch = _opts.batching && (jobs > 1 || _opts.forestHandle);
-
     _shards.resize(_opts.shards);
     for (Shard &shard : _shards) {
-        if (batch && _opts.forestHandle) {
-            shard.broker = std::make_unique<InferenceBroker>(
-                *_opts.forestHandle, _opts.broker, _telemetry.get());
-        } else if (batch && rf) {
-            shard.broker = std::make_unique<InferenceBroker>(
-                rf, _opts.broker, _telemetry.get());
-        }
         shard.sessions = std::make_unique<SessionManager>(
-            predictor, shard.broker.get(), _opts.sessions, _opts.model,
-            _telemetry.get(), _opts.forestHandle, _arbiter.get());
+            predictor, _opts.forestHandle, _opts.sessions, _opts.model,
+            _telemetry.get(), _arbiter.get());
         shard.queue = std::make_unique<RequestQueue<DecisionRequest>>(
             _opts.queueCapacity);
         shard.shed = std::make_unique<ShedController>(
@@ -88,6 +70,7 @@ FleetServer::FleetServer(
         }
     }
 
+    const std::size_t jobs = exec::ThreadPool::resolveJobs(_opts.jobs);
     _pool = std::make_unique<exec::ThreadPool>(jobs);
     for (std::size_t j = 0; j < jobs; ++j) {
         if (_shards.size() == 1) {
@@ -202,15 +185,6 @@ FleetServer::workerLoop(std::size_t worker)
                 process(*req);
                 worked = true;
             }
-        }
-        if (worked)
-            continue;
-        // No queued requests anywhere: offer to run a loaded shard's
-        // ripening broker flush so its blocked deciders wake sooner.
-        for (std::size_t k = 0; k < nshards && !worked; ++k) {
-            Shard &shard = _shards[(home + k) % nshards];
-            if (shard.broker && shard.broker->stealFlush())
-                worked = true;
         }
         if (worked)
             continue;

@@ -7,13 +7,12 @@
  * *shards*, keyed by tenant hash: each shard owns its own
  * SessionManager (so checkout-lease acquisition never crosses
  * shards - the former global manager lock was the fleet's
- * serialization point), its own InferenceBroker (per-shard batched
- * forest walks), its own bounded RequestQueue and its own
+ * serialization point), its own bounded RequestQueue and its own
  * ShedController. One exec::ThreadPool drains all shards: a worker's
- * *home* shard is worker % shards, and an idle worker first steals
- * queued requests from sibling shards, then offers to run a loaded
- * shard's broker flush (InferenceBroker::stealFlush), so load
- * imbalance across the tenant hash costs throughput nowhere.
+ * *home* shard is worker % shards, and an idle worker steals queued
+ * requests from sibling shards, so load imbalance across the tenant
+ * hash costs throughput nowhere. A worker walks its decision's memo
+ * misses itself (SessionPredictor); nothing batches across sessions.
  *
  * Identity is global: session ids come from one server-wide counter,
  * so a tenant's id - and therefore its per-session RNG stream and
@@ -28,9 +27,8 @@
  * shed transitions and degraded decisions are counted in telemetry
  * and marked in DecisionRecord provenance.
  *
- * Server metrics (queue depth, decision latency, batch-size
- * histograms, rejected requests, steals, shed counters) accumulate in
- * an owned telemetry::Registry.
+ * Server metrics (queue depth, decision latency, rejected requests,
+ * steals, shed counters) accumulate in an owned telemetry::Registry.
  *
  * runFleet() is the deterministic driver used by the CLI, the golden
  * trace test and the benchmark: it creates N sessions (round-robin
@@ -58,7 +56,6 @@
 #include "exec/thread_pool.hpp"
 #include "online/learner.hpp"
 #include "powercap/arbiter.hpp"
-#include "serve/broker.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/session_manager.hpp"
 #include "serve/shed.hpp"
@@ -70,17 +67,14 @@ struct FleetServerOptions
 {
     /** Worker threads draining the shards; 0 = hardware concurrency. */
     std::size_t jobs = 1;
-    /** SessionManager/broker/queue/shed shards (tenant-hash keyed). */
+    /** SessionManager/queue/shed shards (tenant-hash keyed). */
     std::size_t shards = 1;
     /** Per-shard request-queue bound (admission backpressure). */
     std::size_t queueCapacity = 1024;
     /** Per-shard session cap (total capacity = shards * maxSessions). */
     SessionManagerOptions sessions;
-    BrokerOptions broker;
     /** Per-shard overload policy; disabled by default. */
     ShedOptions shed;
-    /** Route RF evaluations through the shared broker. */
-    bool batching = true;
     /**
      * Default hardware model for sessions without their own override
      * (SessionOptions::model / the Open frame's model name); null
@@ -90,9 +84,9 @@ struct FleetServerOptions
     /**
      * Hot-swap publication point for online learning; null = static
      * forests. When set, the predictor handed to the server must be
-     * the handle's generation-0 (baseline) Random Forest, the broker
-     * follows published generations, and session memos are
-     * generation-keyed. Must outlive the server.
+     * the handle's generation-0 (baseline) Random Forest; each session
+     * predictor call serves the generation it acquires, and session
+     * memos are generation-keyed. Must outlive the server.
      */
     const online::ForestHandle *forestHandle = nullptr;
     /**
@@ -184,12 +178,6 @@ class FleetServer
         return _telemetry->snapshot();
     }
 
-    /**
-     * Shard 0's broker (single-shard diagnostics); null when batching
-     * is off or the predictor is not an RF.
-     */
-    InferenceBroker *broker() { return _shards[0].broker.get(); }
-
     /** Fleet cap arbiter; null when no budget is configured. */
     powercap::FleetCapArbiter *capArbiter() { return _arbiter.get(); }
     const powercap::FleetCapArbiter *capArbiter() const
@@ -200,7 +188,6 @@ class FleetServer
   private:
     struct Shard
     {
-        std::unique_ptr<InferenceBroker> broker;
         std::unique_ptr<SessionManager> sessions;
         std::unique_ptr<RequestQueue<DecisionRequest>> queue;
         std::unique_ptr<ShedController> shed;

@@ -13,13 +13,12 @@ namespace gpupm::serve {
 
 Session::Session(SessionId id, workload::Application app,
                  std::shared_ptr<const ml::PerfPowerPredictor> base,
-                 InferenceBroker *broker, const SessionOptions &opts,
-                 hw::HardwareModelPtr model,
-                 telemetry::Registry *telemetry,
                  const online::ForestHandle *handle,
+                 const SessionOptions &opts, hw::HardwareModelPtr model,
+                 telemetry::Registry *telemetry,
                  powercap::FleetCapArbiter *arbiter)
     : _id(id), _app(std::move(app)), _base(std::move(base)),
-      _broker(broker), _forestHandle(handle), _opts(opts),
+      _forestHandle(handle), _opts(opts),
       _model(std::move(model)), _telemetry(telemetry),
       _arbiter(arbiter), _thermalCap(opts.thermalCap),
       _apu(_model->params())
@@ -73,7 +72,7 @@ Session::reset()
     SessionPredictorOptions popts;
     popts.kernelCacheCap = _opts.kernelCacheCap;
     _predictor = std::make_shared<SessionPredictor>(
-        _base, _broker, _model, popts, _telemetry, _forestHandle);
+        _base, _forestHandle, _model, popts, _telemetry);
     _governor = std::make_unique<mpc::MpcGovernor>(_predictor, _opts.mpc,
                                                    _model);
     _governor->setDecisionCallback(
@@ -137,9 +136,6 @@ Session::step(bool degraded)
         // feeding it fail-safe outcomes would poison its tracker
         // state for the post-recovery decisions.
         decision = {_model->failSafe(), 0.0};
-    } else if (_broker) {
-        InferenceBroker::DecisionScope scope(*_broker);
-        decision = _governor->decide(i);
     } else {
         decision = _governor->decide(i);
     }

@@ -7,12 +7,11 @@
  * application trace, its modeled APU (thermal state and platform DVFS
  * config advance within a run), its MpcGovernor (pattern extractor,
  * performance tracker, hill-climb optimizer), and its SessionPredictor
- * (per-kernel prediction cache routing misses through the shared
- * broker). Nothing is shared mutably between sessions except the
- * broker and telemetry (both internally synchronized), so sessions are
- * isolated: one session's decisions are bit-identical regardless of
- * what other sessions run - the foundation of the deterministic fleet
- * mode.
+ * (per-kernel prediction cache in front of the shared forests). Nothing
+ * is shared mutably between sessions except telemetry (internally
+ * synchronized), so sessions are isolated: one session's decisions are
+ * bit-identical regardless of what other sessions run - the foundation
+ * of the deterministic fleet mode.
  *
  * step() executes exactly one invocation of the Simulator::run loop
  * body - decide, charge host phase and overhead, reconfigure, run the
@@ -105,12 +104,11 @@ class Session
      * @param app Application trace (the Turbo Core baseline run that
      *        sets the MPC performance target happens here, once).
      * @param base Shared predictor backing the session's governor.
-     * @param broker Shared broker for batched misses; may be null.
-     * @param telemetry Registry for cache metrics; may be null.
      * @param handle Hot-swap publication point for online learning;
      *        null = static forests.
      * @param model Hardware model this session runs on (explicit; a
      *        heterogeneous fleet mixes models across sessions).
+     * @param telemetry Registry for cache metrics; may be null.
      * @param arbiter Fleet cap arbiter; null = no fleet budget. The
      *        session registers itself with its Turbo-baseline mean
      *        power as demand, its model's capFloorWatts as floor, and
@@ -118,10 +116,9 @@ class Session
      */
     Session(SessionId id, workload::Application app,
             std::shared_ptr<const ml::PerfPowerPredictor> base,
-            InferenceBroker *broker, const SessionOptions &opts,
-            hw::HardwareModelPtr model,
+            const online::ForestHandle *handle,
+            const SessionOptions &opts, hw::HardwareModelPtr model,
             telemetry::Registry *telemetry = nullptr,
-            const online::ForestHandle *handle = nullptr,
             powercap::FleetCapArbiter *arbiter = nullptr);
 
     ~Session();
@@ -199,7 +196,6 @@ class Session
     SessionId _id;
     workload::Application _app;
     std::shared_ptr<const ml::PerfPowerPredictor> _base;
-    InferenceBroker *_broker;
     const online::ForestHandle *_forestHandle;
     SessionOptions _opts;
     hw::HardwareModelPtr _model;

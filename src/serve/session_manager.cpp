@@ -8,13 +8,11 @@ namespace gpupm::serve {
 
 SessionManager::SessionManager(
     std::shared_ptr<const ml::PerfPowerPredictor> base,
-    InferenceBroker *broker, const SessionManagerOptions &opts,
-    hw::HardwareModelPtr model, telemetry::Registry *telemetry,
     const online::ForestHandle *handle,
-    powercap::FleetCapArbiter *arbiter)
-    : _base(std::move(base)), _broker(broker), _opts(opts),
-      _model(std::move(model)), _telemetry(telemetry),
-      _forestHandle(handle), _arbiter(arbiter)
+    const SessionManagerOptions &opts, hw::HardwareModelPtr model,
+    telemetry::Registry *telemetry, powercap::FleetCapArbiter *arbiter)
+    : _base(std::move(base)), _forestHandle(handle), _opts(opts),
+      _model(std::move(model)), _telemetry(telemetry), _arbiter(arbiter)
 {
     GPUPM_ASSERT(_base != nullptr, "session manager needs a predictor");
     GPUPM_ASSERT(_model != nullptr,
@@ -63,9 +61,8 @@ SessionManager::createWithId(SessionId id,
     // Building a session runs the Turbo baseline; keep that out of the
     // lock so creates do not serialize against checkouts.
     auto session = std::make_unique<Session>(
-        id, app, _base, _broker, opts,
-        opts.model ? opts.model : _model, _telemetry, _forestHandle,
-        _arbiter);
+        id, app, _base, _forestHandle, opts,
+        opts.model ? opts.model : _model, _telemetry, _arbiter);
 
     std::lock_guard lock(_mutex);
     GPUPM_ASSERT(_slots.find(id) == _slots.end(),

@@ -37,22 +37,20 @@ class SessionManager
   public:
     /**
      * @param base Shared predictor handed to every session.
-     * @param broker Shared broker handed to every session; may be null.
+     * @param handle Hot-swap publication point handed to every
+     *        session; null = static forests.
      * @param model Default hardware model for sessions that do not
      *        carry their own override (SessionOptions::model).
      * @param telemetry Registry for manager/session metrics; may be
      *        null.
-     * @param handle Hot-swap publication point handed to every
-     *        session; null = static forests.
      * @param arbiter Fleet cap arbiter handed to every session; null =
      *        no fleet budget.
      */
     SessionManager(std::shared_ptr<const ml::PerfPowerPredictor> base,
-                   InferenceBroker *broker,
+                   const online::ForestHandle *handle,
                    const SessionManagerOptions &opts,
                    hw::HardwareModelPtr model,
                    telemetry::Registry *telemetry = nullptr,
-                   const online::ForestHandle *handle = nullptr,
                    powercap::FleetCapArbiter *arbiter = nullptr);
 
     /**
@@ -107,11 +105,10 @@ class SessionManager
     void evictLruLocked();
 
     std::shared_ptr<const ml::PerfPowerPredictor> _base;
-    InferenceBroker *_broker;
+    const online::ForestHandle *_forestHandle;
     SessionManagerOptions _opts;
     hw::HardwareModelPtr _model;
     telemetry::Registry *_telemetry;
-    const online::ForestHandle *_forestHandle;
     powercap::FleetCapArbiter *_arbiter;
 
     mutable std::mutex _mutex;

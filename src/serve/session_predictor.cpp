@@ -11,19 +11,16 @@ namespace gpupm::serve {
 
 SessionPredictor::SessionPredictor(
     std::shared_ptr<const ml::PerfPowerPredictor> base,
-    InferenceBroker *broker, hw::HardwareModelPtr model,
-    const SessionPredictorOptions &opts,
-    telemetry::Registry *telemetry, const online::ForestHandle *handle)
+    const online::ForestHandle *handle, hw::HardwareModelPtr model,
+    const SessionPredictorOptions &opts, telemetry::Registry *telemetry)
     : _base(std::move(base)),
       _rf(dynamic_cast<const ml::RandomForestPredictor *>(_base.get())),
-      _broker(broker), _model(std::move(model)), _handle(handle),
+      _handle(handle), _model(std::move(model)),
       _cap(opts.kernelCacheCap)
 {
     GPUPM_ASSERT(_base != nullptr, "session predictor needs a base");
     GPUPM_ASSERT(_model != nullptr,
                  "session predictor needs a hardware model");
-    GPUPM_ASSERT(!_broker || _rf,
-                 "broker routing requires a Random Forest base");
     GPUPM_ASSERT(!_handle || _rf,
                  "hot-swap routing requires a Random Forest base");
     if (telemetry) {
@@ -37,15 +34,6 @@ void
 SessionPredictor::clearCache()
 {
     _entries.clear();
-}
-
-void
-SessionPredictor::rekeyEntry(KernelEntry &e, std::uint64_t gen)
-{
-    // Derived kernel features and the instruction proxy are functions
-    // of the counters alone - only the memoized forest outputs die.
-    std::fill(e.known.begin(), e.known.end(), 0);
-    e.generation = gen;
 }
 
 ml::Prediction
@@ -106,21 +94,29 @@ SessionPredictor::predictBatch(const ml::PredictionQuery &q,
 
     if (!accelerated()) {
         // Oracle-family base (ground truth is not a pure function of
-        // the counters) or cache disabled: plain passthrough.
-        _base->predictBatch(q, cs, out);
+        // the counters) or cache disabled: plain passthrough, to the
+        // current generation under hot-swap.
+        if (_handle)
+            _handle->acquire()->predictor->predictBatch(q, cs, out);
+        else
+            _base->predictBatch(q, cs, out);
         return;
     }
 
     KernelEntry &e = entryFor(q.counters);
 
-    // Under hot-swap, rebind the memo to the current generation before
-    // serving from it: a stale memo would replay the outgoing forests'
-    // values after a swap.
+    // Under hot-swap, this whole call serves the generation acquired
+    // here. Rebind the memo to it before serving from it: a stale memo
+    // would replay the outgoing forests' values after a swap. Derived
+    // kernel features and the instruction proxy are functions of the
+    // counters alone - only the memoized forest outputs die.
     std::shared_ptr<const online::ForestGeneration> gen;
     if (_handle) {
         gen = _handle->acquire();
-        if (e.generation != gen->ordinal)
-            rekeyEntry(e, gen->ordinal);
+        if (e.generation != gen->ordinal) {
+            std::fill(e.known.begin(), e.known.end(), 0);
+            e.generation = gen->ordinal;
+        }
     }
 
     // Serve memoized configs; collect the rest for one forest walk.
@@ -149,18 +145,9 @@ SessionPredictor::predictBatch(const ml::PredictionQuery &q,
         rows[j] = ml::combineFeatures(
             e.kf, _model->descriptorAt(hw::denseConfigIndex(cs[miss[j]])));
     }
-    std::uint64_t served = e.generation;
-    if (_broker)
-        served = _broker->evaluate(rows, time_log, gpu_power);
-    else if (gen)
-        gen->predictor->predictRows(rows, time_log, gpu_power);
-    else
-        _rf->predictRows(rows, time_log, gpu_power);
-    // The broker may have flushed us against a generation published
-    // after our acquire above; the memo must only ever hold one
-    // generation's values, so rebind before merging.
-    if (served != e.generation)
-        rekeyEntry(e, served);
+    const ml::RandomForestPredictor &forests =
+        gen ? *gen->predictor : *_rf;
+    forests.predictRows(rows, time_log, gpu_power);
 
     for (std::size_t j = 0; j < m; ++j) {
         const std::size_t i = miss[j];

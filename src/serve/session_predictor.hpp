@@ -1,43 +1,35 @@
 /**
  * @file
- * Per-session predictor decorator: kernel-level prediction cache plus
- * broker routing.
+ * Per-session predictor decorator: a kernel-level prediction cache.
  *
  * Each fleet session owns one SessionPredictor wrapping the shared
- * Random Forest. It adds the two things a multi-tenant server needs
- * that the raw predictor cannot provide:
+ * Random Forest. The predictor's own memo (see
+ * RandomForestPredictor::predictBatch) is a one-entry thread_local
+ * keyed on the last kernel seen by the thread; a server worker
+ * interleaves decisions from many sessions and many kernels, so that
+ * entry thrashes and every decision re-walks the forests. Here each
+ * session keeps an LRU-capped entry per dissimilar kernel (keyed on
+ * exact counter bits) holding the derived kernel features and a dense
+ * per-config memo, so a kernel's steady-state relaunches cost table
+ * lookups regardless of what other sessions run on the same worker.
+ * The cap is the SessionManager's lever on per-session memory (a
+ * capped session evicts its least-recently-used kernel). Misses are
+ * walked on the calling thread, as one FlatForest batch per call.
  *
- *  - a *per-session, multi-kernel* prediction cache. The predictor's
- *    own memo (see RandomForestPredictor::predictBatch) is a one-entry
- *    thread_local keyed on the last kernel seen by the thread; a server
- *    worker interleaves decisions from many sessions and many kernels,
- *    so that entry thrashes and every decision re-walks the forests.
- *    Here each session keeps an LRU-capped entry per dissimilar kernel
- *    (keyed on exact counter bits) holding the derived kernel features
- *    and a dense per-config memo, so a kernel's steady-state relaunches
- *    cost table lookups regardless of what other sessions run on the
- *    same worker. The cap is the SessionManager's lever on per-session
- *    memory (a capped session evicts its least-recently-used kernel);
- *
- *  - routing of memo misses through the InferenceBroker, where rows
- *    from all in-flight decisions coalesce into shared tree-major
- *    FlatForest walks.
- *
- * Memoized values are exactly what the forests produced, and broker
- * batching never changes a row's result, so every prediction is
+ * Memoized values are exactly what the forests produced, and the
+ * forests evaluate rows independently, so every prediction is
  * bit-identical to calling the wrapped predictor directly.
  *
- * Hot-swap: under online learning the forests behind the broker change
- * generation at flush boundaries. Each kernel entry's memo is keyed by
- * the generation whose forests produced it and is invalidated - known
- * bits cleared, derived kernel features kept (they do not depend on the
- * forests) - the first time the entry is touched at a different
- * generation, so memoized values always match what the current
- * generation would compute. A swap landing *inside* one decision can
- * transiently mix memo hits from the outgoing generation with fresh
- * walks from the incoming one within that decision's out[] span; batch
- * purity (all rows of one broker flush walked by one generation) still
- * holds, which is the invariant the hot-swap fuzz test pins.
+ * Hot-swap: under online learning the forests change generation
+ * whenever the learner publishes. predictBatch acquires one generation
+ * at its top and serves the whole call from it: each kernel entry's
+ * memo is keyed by the generation whose forests produced it and is
+ * invalidated - known bits cleared, derived kernel features kept (they
+ * do not depend on the forests) - the first time the entry is touched
+ * at a different generation, and the misses are walked against the
+ * acquired forests. Every output of one predictBatch call, memo hits
+ * and walked rows alike, therefore comes from one generation; the
+ * hot-swap fuzz test pins this.
  *
  * Not thread-safe by design: a session is processed by one worker at a
  * time (the server checks sessions out exclusively), so the cache needs
@@ -52,7 +44,7 @@
 
 #include "hw/model.hpp"
 #include "ml/trainer.hpp"
-#include "serve/broker.hpp"
+#include "online/forest_handle.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace gpupm::serve {
@@ -60,9 +52,9 @@ namespace gpupm::serve {
 struct SessionPredictorOptions
 {
     /**
-     * LRU cap on cached kernel entries; 0 disables the cache (and
-     * broker routing), turning the decorator into a passthrough - the
-     * single-tenant baseline the fleet benchmark compares against.
+     * LRU cap on cached kernel entries; 0 disables the cache, turning
+     * the decorator into a passthrough - the single-tenant baseline the
+     * fleet benchmark compares against.
      */
     std::size_t kernelCacheCap = 32;
 };
@@ -71,25 +63,23 @@ class SessionPredictor : public ml::PerfPowerPredictor
 {
   public:
     /**
-     * @param base Shared predictor. Caching and brokering engage only
-     *        when it is a RandomForestPredictor; other predictors
-     *        (oracle families consult ground truth, so counters are
-     *        not a safe cache key) pass through untouched.
-     * @param broker Shared broker; null evaluates misses directly.
+     * @param base Shared predictor. Caching engages only when it is a
+     *        RandomForestPredictor; other predictors (oracle families
+     *        consult ground truth, so counters are not a safe cache
+     *        key) pass through untouched.
+     * @param handle Hot-swap publication point; null = static forests.
+     *        When set, base must be the (baseline) Random Forest, and
+     *        each call serves the generation it acquires.
      * @param model Hardware model whose config descriptors feed the
      *        feature rows (the session's model, so heterogeneous
      *        fleets score candidates in their own model's scaling).
-     * @param handle Hot-swap publication point; null = static forests.
-     *        When set, base must be the (baseline) Random Forest, and
-     *        broker-less misses walk the handle's current generation.
      * @param telemetry Registry receiving cache metrics; may be null.
      */
     SessionPredictor(
         std::shared_ptr<const ml::PerfPowerPredictor> base,
-        InferenceBroker *broker, hw::HardwareModelPtr model,
+        const online::ForestHandle *handle, hw::HardwareModelPtr model,
         const SessionPredictorOptions &opts = {},
-        telemetry::Registry *telemetry = nullptr,
-        const online::ForestHandle *handle = nullptr);
+        telemetry::Registry *telemetry = nullptr);
 
     ml::Prediction predict(const ml::PredictionQuery &q,
                            const hw::HwConfig &c) const override;
@@ -100,7 +90,7 @@ class SessionPredictor : public ml::PerfPowerPredictor
 
     std::string name() const override { return _base->name(); }
 
-    /** Whether the cache/broker path is engaged (base is an RF). */
+    /** Whether the cache path is engaged (base is an RF). */
     bool accelerated() const { return _rf != nullptr && _cap > 0; }
 
     std::size_t cachedKernels() const { return _entries.size(); }
@@ -124,14 +114,10 @@ class SessionPredictor : public ml::PerfPowerPredictor
 
     KernelEntry &entryFor(const kernel::KernelCounters &counters) const;
 
-    /** Clear @p e's memo and rebind it to generation @p gen. */
-    static void rekeyEntry(KernelEntry &e, std::uint64_t gen);
-
     std::shared_ptr<const ml::PerfPowerPredictor> _base;
     const ml::RandomForestPredictor *_rf; ///< base, when it is an RF.
-    InferenceBroker *_broker;
-    hw::HardwareModelPtr _model;
     const online::ForestHandle *_handle;
+    hw::HardwareModelPtr _model;
     std::size_t _cap;
 
     // Session-local mutable state (single-worker access; see above).

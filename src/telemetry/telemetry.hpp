@@ -12,9 +12,10 @@
  *    temperature integrated by the RC thermal model.
  *  - Counter / Histogram are the *live* side: named monotonic counters
  *    and fixed-bucket histograms that concurrent subsystems (the fleet
- *    decision server, the inference broker) bump while they run.
- *    Counters are lock-free atomics; histograms use per-bucket atomics,
- *    so recording from many threads is wait-free and TSan-clean.
+ *    decision server, its sessions' prediction caches) bump while they
+ *    run. Counters are lock-free atomics; histograms use per-bucket
+ *    atomics, so recording from many threads is wait-free and
+ *    TSan-clean.
  *  - Registry additionally carries the process's decision-provenance
  *    sink (trace::DecisionSink), so one object wires all telemetry for
  *    a server or CLI invocation.

@@ -44,7 +44,7 @@ enum class Category : std::uint8_t
     Mpc,   ///< MPC governor and optimizer.
     Ml,    ///< Predictor / forest inference.
     Exec,  ///< Sweep engine jobs.
-    Serve, ///< Fleet server (queue, broker, sessions).
+    Serve, ///< Fleet server (queue, sessions).
     Bench, ///< Experiment harnesses.
     Online, ///< Drift detection, retraining, forest hot-swap.
 };

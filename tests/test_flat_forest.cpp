@@ -721,44 +721,11 @@ TEST(FlatForest, SimdModeParsingRoundTrips)
 // one kernel prefix once per tree (see flat_forest.hpp).
 
 /**
- * Independent reference with the flat engine's split rule: walk the
- * training trees, going right iff `feature > threshold`, and sum the
- * leaves in tree order. Equal to RandomForest::predict on every row
- * without NaN; its `<=` sends a NaN feature right where the flat
- * engines (both walks alike) send it left.
- */
-double
-greaterWalk(const RandomForest &rf, const FeatureVector &q)
-{
-    double s = 0.0;
-    for (const auto &tree : rf.trees()) {
-        const auto &nodes = tree.nodes();
-        std::size_t i = 0;
-        while (nodes[i].feature >= 0) {
-            const auto &n = nodes[i];
-            i = static_cast<std::size_t>(
-                q[static_cast<std::size_t>(n.feature)] > n.threshold
-                    ? n.right
-                    : n.left);
-        }
-        s += nodes[i].value;
-    }
-    return s / static_cast<double>(rf.treeCount());
-}
-
-bool
-hasNaN(const FeatureVector &q)
-{
-    return std::any_of(q.begin(), q.end(),
-                       [](double v) { return std::isnan(v); });
-}
-
-/**
  * One batch through predictBatch, checked row by row against
- * greaterWalk, RandomForest::predict (rows without NaN) and the row
- * walk: the single-query path, and a tree-major batch of the same rows
- * with a row of another kernel between every two, so that no run is
- * longer than one row.
+ * RandomForest::predict (the training trees, NaN rows included) and the
+ * row walk: the single-query path, and a tree-major batch of the same
+ * rows with a row of another kernel between every two, so that no run
+ * is longer than one row.
  */
 void
 expectRowWalkResults(const RandomForest &rf, const FlatForest &ff,
@@ -778,12 +745,8 @@ expectRowWalkResults(const RandomForest &rf, const FlatForest &ff,
     ff.predictBatch(split, split_out);
 
     for (std::size_t i = 0; i < qs.size(); ++i) {
-        EXPECT_TRUE(bitEqual(out[i], greaterWalk(rf, qs[i])))
+        EXPECT_TRUE(bitEqual(out[i], rf.predict(qs[i])))
             << "row " << i << " of " << qs.size();
-        if (!hasNaN(qs[i])) {
-            EXPECT_TRUE(bitEqual(out[i], rf.predict(qs[i])))
-                << "row " << i << " of " << qs.size();
-        }
         EXPECT_TRUE(bitEqual(out[i], ff.predict(qs[i])))
             << "row " << i << " of " << qs.size();
         EXPECT_TRUE(bitEqual(out[i], split_out[2 * i]))
@@ -902,7 +865,7 @@ TEST(SharedPrefixWalk, RunLengthsAcrossCutOverAndBitsetWidth)
 
 TEST(SharedPrefixWalk, ConcatenatedKernelsMatchRowWalk)
 {
-    // A broker flush: several kernels' rows back to back, long runs
+    // Several kernels' rows back to back, long runs
     // (walked shared, one of them in chunks) between short ones (row
     // walked, including a short run right after a long one).
     const auto rf = deepForest(67);
@@ -1071,7 +1034,7 @@ TEST(SharedPrefixWalk, ConcurrentWalksOfOneForest)
     for (const auto &qs : batches) {
         std::vector<double> ref(qs.size());
         for (std::size_t i = 0; i < qs.size(); ++i)
-            ref[i] = greaterWalk(rf, qs[i]);
+            ref[i] = rf.predict(qs[i]);
         expected.push_back(std::move(ref));
     }
 

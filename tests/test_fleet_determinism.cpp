@@ -2,11 +2,9 @@
  * @file
  * Golden-trace regression suite for the fleet server's determinism
  * contract: an 8-session fleet of RF-governed benchmarks must produce
- * a byte-identical decision trace at --jobs 1 and --jobs 8, both must
- * match the checked-in golden trace
- * (tests/golden/fleet_golden.jsonl), and the cross-session inference
- * broker must actually coalesce (mean requests per flush > 1) while
- * doing so.
+ * a byte-identical decision trace at --jobs 1 and --jobs 8, and both
+ * must match the checked-in golden trace
+ * (tests/golden/fleet_golden.jsonl).
  *
  * Regenerating the golden file (after an intentional model, governor
  * or serve-path change):
@@ -122,33 +120,6 @@ TEST(FleetDeterminism, RepeatedParallelRunsAgree)
               serializeFleetTrace(runAt(5).trace));
 }
 
-TEST(FleetDeterminism, BrokerCoalescesAcrossSessionsUnderLoad)
-{
-    // The acceptance signal for cross-session batching: with 8 sessions
-    // deciding on 8 workers, the mean number of *requests* coalesced
-    // into one forest walk must exceed one - the broker is genuinely
-    // combining different sessions' evaluations, not just passing each
-    // through alone.
-    const auto result = runAt(8);
-    const auto it = result.metrics.histograms.find("broker.batch_requests");
-    ASSERT_NE(it, result.metrics.histograms.end());
-    EXPECT_GT(it->second.count, 0u);
-    EXPECT_GT(it->second.mean, 1.0)
-        << "no cross-session coalescing happened";
-}
-
-TEST(FleetDeterminism, BatchingOnAndOffProduceTheSameTrace)
-{
-    // Batching is a throughput optimization with a correctness
-    // contract: routing evaluations through the broker must never
-    // change a prediction, so the trace is invariant.
-    auto with = goldenFleet(4);
-    auto without = goldenFleet(4);
-    without.server.batching = false;
-    EXPECT_EQ(serializeFleetTrace(runFleet(forest(), with).trace),
-              serializeFleetTrace(runFleet(forest(), without).trace));
-}
-
 TEST(FleetDeterminism, OnlineLearnWithoutDriftIsByteIdentical)
 {
     // Observer-until-trigger contract: with --online-learn on but no
@@ -157,7 +128,8 @@ TEST(FleetDeterminism, OnlineLearnWithoutDriftIsByteIdentical)
     // "No drift" is forced via the threshold: the deliberately tiny
     // test forest genuinely exceeds the paper's 25% baseline on live
     // windows, and this test is about the observation path (handle-
-    // routed broker, generation-keyed memos, row accumulation), not
+    // routed session predictors, generation-keyed memos, row
+    // accumulation), not
     // about when the detector fires (test_drift_detector pins that).
     auto online = goldenFleet(4);
     online.onlineLearn = true;
@@ -177,11 +149,10 @@ TEST(FleetDeterminism, OnlineLearnWithoutDriftIsByteIdentical)
 TEST(FleetDeterminism, QuantizedFleetIsDeterministicAcrossJobs)
 {
     // The int16 engine keeps the whole determinism contract: rows are
-    // still evaluated independently, so worker count, broker batch
-    // composition and memo hit order cannot change a quantized
-    // prediction either. (Its trace differs from the scalar golden -
-    // that is the quantization, pinned by test_flat_forest - but it
-    // must be byte-stable against itself.)
+    // still evaluated independently, so worker count and memo hit
+    // order cannot change a quantized prediction either. (Its trace
+    // differs from the scalar golden - that is the quantization, pinned
+    // by test_flat_forest - but it must be byte-stable against itself.)
     ml::TrainerOptions topts;
     topts.corpusSize = 16;
     topts.configStride = 4;
@@ -223,7 +194,7 @@ TEST(FleetDeterminism, ScalarFleetReportsScalarRows)
 TEST(FleetDeterminism, ShardedFleetIsByteIdenticalAcrossShardCounts)
 {
     // The acceptance contract of sharding: tenant-hash routing, split
-    // session managers, per-shard brokers and the work-stealing drain
+    // session managers and the work-stealing drain
     // are all invisible in the trace. Session ids come from one global
     // counter and predictions are pure per row, so the bytes at
     // --shards 1 (the golden configuration) and any other shard count
@@ -278,7 +249,6 @@ TEST(FleetDeterminism, ShardedFleetAccountsEveryDecisionOnce)
     // registration is pinned here; test_session_manager exercises the
     // stealing path under load).
     EXPECT_TRUE(result.metrics.counters.count("serve.queue_steals"));
-    EXPECT_TRUE(result.metrics.counters.count("broker.flush_stolen"));
 }
 
 TEST(FleetDeterminism, ForcedSheddingMarksDegradedDecisions)

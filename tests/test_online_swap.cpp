@@ -2,12 +2,13 @@
  * @file
  * Hot-swap fuzz suite for the RCU forest-publication path (run it under
  * TSan via tools/run_sanitizers.sh). N reader threads hammer
- * predictions - both directly through a ForestHandle and through the
- * InferenceBroker's flush path - while a writer publishes new
+ * predictions - both directly through a ForestHandle and through
+ * memoizing SessionPredictors - while a writer publishes new
  * generations as fast as it can. The pinned invariant: every evaluated
- * batch is bit-identical to *exactly one* generation's forests; a
- * concurrent publish may decide which generation serves a batch but can
- * never mix two inside one, corrupt a result, or block a reader.
+ * batch, and every SessionPredictor::predictBatch call, is
+ * bit-identical to *exactly one* generation's forests; a concurrent
+ * publish may decide which generation serves a call but can never mix
+ * two inside one, corrupt a result, or make a reader wait for a refit.
  */
 
 #include <gtest/gtest.h>
@@ -16,17 +17,19 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "hw/config.hpp"
+#include "hw/model.hpp"
 #include "kernel/counters.hpp"
 #include "ml/trainer.hpp"
 #include "online/forest_handle.hpp"
 #include "online/learner.hpp"
-#include "serve/broker.hpp"
+#include "serve/session_predictor.hpp"
 #include "telemetry/telemetry.hpp"
 #include "trace/decision.hpp"
 
@@ -35,6 +38,8 @@ namespace {
 
 constexpr std::size_t kGenerations = 4;
 constexpr std::size_t kProbeRows = 8;
+/** Configs the SessionPredictor tests score for their one kernel. */
+constexpr std::size_t kConfigs = 96;
 
 /** Distinct tiny predictor per generation (seed- and target-shifted). */
 std::shared_ptr<const ml::RandomForestPredictor>
@@ -77,6 +82,11 @@ struct Fixture
     std::vector<std::shared_ptr<const ml::RandomForestPredictor>> gens;
     std::vector<ml::FeatureVector> probe;
     std::vector<Expected> expected; ///< Per generation, on the probe.
+    /** One kernel's query and the configs it is scored against. */
+    ml::PredictionQuery query;
+    std::vector<hw::HwConfig> configs;
+    /** Per generation: RandomForestPredictor::predictBatch on configs. */
+    std::vector<std::vector<ml::Prediction>> predicted;
 
     Fixture()
     {
@@ -100,6 +110,53 @@ struct Fixture
                 GPUPM_ASSERT(!(expected[a] == expected[b]),
                              "probe batch cannot tell generations ",
                              a, " and ", b, " apart");
+
+        std::array<double, kernel::numCounters> cs{};
+        for (auto &c : cs)
+            c = rng.uniform(1.0, 100.0);
+        cs[0] = 4096.0; // plausible global work size keeps the proxy sane
+        query.counters = kernel::KernelCounters::fromArray(cs);
+        query.instructions = 1.0e6;
+        const hw::ConfigSpace space;
+        for (std::size_t i = 0; i < kConfigs; ++i)
+            configs.push_back(space.at((i * 29) % space.size()));
+        for (const auto &g : gens) {
+            std::vector<ml::Prediction> out(kConfigs);
+            g->predictBatch(query, configs, out);
+            predicted.push_back(std::move(out));
+        }
+        // Stronger for the per-call checks: every single config tells
+        // every two generations apart, so an output that mixes two
+        // generations matches neither.
+        for (std::size_t i = 0; i < kConfigs; ++i)
+            for (std::size_t a = 0; a < kGenerations; ++a)
+                for (std::size_t b = a + 1; b < kGenerations; ++b)
+                    GPUPM_ASSERT(predicted[a][i].time !=
+                                         predicted[b][i].time ||
+                                     predicted[a][i].gpuPower !=
+                                         predicted[b][i].gpuPower,
+                                 "config ", i,
+                                 " cannot tell generations ", a, " and ",
+                                 b, " apart");
+    }
+
+    /**
+     * Generations whose predictBatch output equals @p got on the
+     * configs [first, first + got.size()), bit for bit.
+     */
+    std::size_t
+    matchingGenerations(std::size_t first,
+                        const std::vector<ml::Prediction> &got) const
+    {
+        std::size_t matched = 0;
+        for (const auto &want : predicted) {
+            bool all = true;
+            for (std::size_t j = 0; j < got.size() && all; ++j)
+                all = got[j].time == want[first + j].time &&
+                      got[j].gpuPower == want[first + j].gpuPower;
+            matched += all ? 1 : 0;
+        }
+        return matched;
     }
 };
 
@@ -185,77 +242,103 @@ TEST(OnlineSwapFuzz, HandleReadersSeeExactlyOneGenerationPerBatch)
 }
 
 /**
- * Same invariant through the broker: concurrent evaluate() calls whose
- * flushes race with publishes must each come back bit-identical to the
- * generation whose ordinal evaluate() reports - and no flush may block
- * on a publish (joining at all, with a tight publish loop, is the
- * no-deadlock half; the zero-pause latency half lives in
- * bench_online_adapt).
+ * Same invariant through memoizing session predictors: each reader owns
+ * a SessionPredictor on the shared handle and scores sliding windows of
+ * one kernel's configs, so most calls serve some configs from the memo
+ * and walk the rest, while the writer republishes until every reader
+ * is done. The whole output of every call must equal exactly one
+ * generation's RandomForestPredictor::predictBatch output - memo hits
+ * and walked rows never straddle a swap.
  */
-TEST(OnlineSwapFuzz, BrokerFlushesNeverMixGenerations)
+TEST(OnlineSwapFuzz, SessionPredictorCallsServeExactlyOneGeneration)
 {
     auto &fx = fixture();
-    constexpr std::size_t kClients = 4;
-    constexpr std::size_t kIterations = 250;
-    constexpr std::size_t kPublishes = 150;
+    constexpr std::size_t kReaders = 4;
+    constexpr std::size_t kIterations = 4000;
+    constexpr std::size_t kWindow = 48;
 
     ForestHandle handle(fx.gens[0]);
-    serve::BrokerOptions bopts;
-    bopts.maxBatch = 16;
-    serve::InferenceBroker broker(handle, bopts);
-
     std::atomic<bool> start{false};
+    std::atomic<std::size_t> finished{0};
     std::atomic<std::size_t> mismatches{0};
 
-    std::vector<std::thread> clients;
-    for (std::size_t t = 0; t < kClients; ++t) {
-        clients.emplace_back([&] {
+    std::vector<std::thread> readers;
+    for (std::size_t t = 0; t < kReaders; ++t) {
+        readers.emplace_back([&, t] {
+            serve::SessionPredictor sp(fx.gens[0], &handle,
+                                       hw::paperApu());
+            std::vector<ml::Prediction> out(kWindow);
             while (!start.load(std::memory_order_acquire)) {
             }
-            std::vector<double> tl(kProbeRows), gp(kProbeRows);
             for (std::size_t i = 0; i < kIterations; ++i) {
-                serve::InferenceBroker::DecisionScope scope(broker);
-                const std::uint64_t served =
-                    broker.evaluate(fx.probe, tl, gp);
-                const Expected &want =
-                    fx.expected[served % kGenerations];
-                if (want.timeLog != tl || want.gpuPower != gp)
+                const std::size_t first =
+                    (11 * i + 13 * t) % (kConfigs - kWindow + 1);
+                sp.predictBatch(
+                    fx.query,
+                    std::span(fx.configs).subspan(first, kWindow), out);
+                if (fx.matchingGenerations(first, out) != 1)
                     mismatches.fetch_add(1);
             }
+            finished.fetch_add(1);
         });
     }
 
+    std::size_t publishes = 0;
     std::thread writer([&] {
         while (!start.load(std::memory_order_acquire)) {
         }
-        for (std::size_t p = 1; p <= kPublishes; ++p)
-            handle.publish(fx.gens[p % kGenerations]);
+        while (finished.load() < kReaders) {
+            ++publishes;
+            handle.publish(fx.gens[publishes % kGenerations]);
+        }
     });
 
     start.store(true, std::memory_order_release);
     writer.join();
-    for (auto &c : clients)
-        c.join();
+    for (auto &r : readers)
+        r.join();
 
     EXPECT_EQ(mismatches.load(), 0u);
-    EXPECT_EQ(broker.queryCount(), kClients * kIterations * kProbeRows);
+    EXPECT_EQ(handle.ordinal(), publishes);
 }
 
-TEST(OnlineSwap, BrokerReportsTheServingGeneration)
+TEST(OnlineSwap, SessionPredictorServesTheCurrentGeneration)
 {
+    // A call after a publish serves the new generation throughout:
+    // configs it memoized under the old one are walked again, not
+    // replayed beside freshly walked ones.
     auto &fx = fixture();
     ForestHandle handle(fx.gens[0]);
-    serve::InferenceBroker broker(handle);
-
-    std::vector<double> tl(kProbeRows), gp(kProbeRows);
-    serve::InferenceBroker::DecisionScope scope(broker);
-    EXPECT_EQ(broker.evaluate(fx.probe, tl, gp), 0u);
-    EXPECT_EQ(tl, fx.expected[0].timeLog);
+    serve::SessionPredictor sp(fx.gens[0], &handle, hw::paperApu());
+    std::vector<ml::Prediction> out(48);
+    sp.predictBatch(fx.query, std::span(fx.configs).first(48), out);
+    EXPECT_EQ(fx.matchingGenerations(0, out), 1u);
+    EXPECT_EQ(out[0].time, fx.predicted[0][0].time);
 
     handle.publish(fx.gens[1]);
-    EXPECT_EQ(broker.evaluate(fx.probe, tl, gp), 1u);
-    EXPECT_EQ(tl, fx.expected[1].timeLog);
-    EXPECT_EQ(gp, fx.expected[1].gpuPower);
+    sp.predictBatch(fx.query, std::span(fx.configs).subspan(24, 48), out);
+    EXPECT_EQ(fx.matchingGenerations(24, out), 1u);
+    EXPECT_EQ(out[0].time, fx.predicted[1][24].time);
+    EXPECT_EQ(out[47].gpuPower, fx.predicted[1][71].gpuPower);
+}
+
+TEST(OnlineSwap, CacheDisabledSessionPredictorFollowsTheHandle)
+{
+    // kernelCacheCap 0 turns the decorator into a passthrough; under
+    // hot-swap it must still pass through to the current generation,
+    // not to the baseline forests it was built with.
+    auto &fx = fixture();
+    ForestHandle handle(fx.gens[0]);
+    serve::SessionPredictorOptions opts;
+    opts.kernelCacheCap = 0;
+    serve::SessionPredictor sp(fx.gens[0], &handle, hw::paperApu(), opts);
+    ASSERT_FALSE(sp.accelerated());
+    handle.publish(fx.gens[2]);
+    std::vector<ml::Prediction> out(kConfigs);
+    sp.predictBatch(fx.query, fx.configs, out);
+    EXPECT_EQ(fx.matchingGenerations(0, out), 1u);
+    EXPECT_EQ(out[5].time, fx.predicted[2][5].time);
+    EXPECT_EQ(out[5].gpuPower, fx.predicted[2][5].gpuPower);
 }
 
 /** A scored, drifting decision record the learner can train on. */

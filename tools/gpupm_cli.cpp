@@ -272,7 +272,7 @@ addShardFlags(FlagParser &flags)
 {
     flags.addInt("shards", 1,
                  "tenant-hash server shards (each owns its own session "
-                 "manager, broker and request queue)",
+                 "manager, request queue and shed controller)",
                  1, 4096);
     flags.addBool("shed",
                   "enable per-shard overload shedding: sustained queue "
@@ -744,9 +744,9 @@ cmdFleet(int argc, const char *const *argv)
 {
     FlagParser flags(
         "gpupm fleet: serve N concurrent governor sessions through a "
-        "bounded request queue, coalescing their Random Forest "
-        "evaluations into shared batched inference (deterministic: the "
-        "decision trace is byte-identical for every --jobs value)");
+        "bounded request queue, each with its own per-kernel prediction "
+        "cache (deterministic: the decision trace is byte-identical for "
+        "every --jobs value)");
     flags.addString("bench", "all",
                     "benchmark name, comma list, or 'all' (assigned "
                     "round-robin over sessions)");
@@ -776,18 +776,14 @@ cmdFleet(int argc, const char *const *argv)
                     "cycled over sessions (with --cap-policy weighted)");
     flags.addInt("runs", 2, "MPC executions after profiling", 1, 10000);
     flags.addInt("queue", 1024, "request-queue capacity", 1, 1 << 20);
-    flags.addInt("max-batch", 512, "broker flush threshold in queries",
-                 1, 1 << 20);
     flags.addInt("cache", 32,
                  "per-session kernel prediction-cache cap (0 disables "
-                 "caching and batching for that session)",
+                 "caching for that session)",
                  0, 1 << 20);
     flags.addInt("seed", 0x5eed, "root seed for per-session RNG streams");
     flags.addDouble("phase-jitter", 0.0,
                     "upper bound on per-session CPU-phase fractions "
                     "(each session draws its own)");
-    flags.addBool("no-batching",
-                  "disable the cross-session inference broker");
     flags.addBool("deterministic",
                   "print only byte-reproducible output (suppress "
                   "wall-clock metrics)");
@@ -851,9 +847,6 @@ cmdFleet(int argc, const char *const *argv)
     }
     fopts.server.queueCapacity =
         static_cast<std::size_t>(flags.getInt("queue"));
-    fopts.server.broker.maxBatch =
-        static_cast<std::size_t>(flags.getInt("max-batch"));
-    fopts.server.batching = !flags.getBool("no-batching");
     fopts.session.optimizedRuns =
         static_cast<std::size_t>(flags.getInt("runs"));
     fopts.session.kernelCacheCap =
@@ -921,10 +914,6 @@ cmdFleet(int argc, const char *const *argv)
             std::cout << "decision latency: p50 "
                       << fmt(it->second.p50 / 1e3, 1) << " us, p99 "
                       << fmt(it->second.p99 / 1e3, 1) << " us\n";
-        if (auto it = h.find("broker.batch_requests"); it != h.end())
-            std::cout << "broker: mean " << fmt(it->second.mean, 2)
-                      << " requests/flush over " << it->second.count
-                      << " flushes\n";
         if (auto it = h.find("serve.queue_depth"); it != h.end())
             std::cout << "queue depth: mean " << fmt(it->second.mean, 2)
                       << ", p99 " << fmt(it->second.p99, 1) << "\n";
@@ -1121,8 +1110,6 @@ cmdServe(int argc, const char *const *argv)
                  1, 10000);
     flags.addInt("queue", 1024, "per-shard request-queue capacity", 1,
                  1 << 20);
-    flags.addInt("max-batch", 512, "broker flush threshold in queries",
-                 1, 1 << 20);
     flags.addInt("cache", 32,
                  "default per-session kernel prediction-cache cap", 0,
                  1 << 20);
@@ -1183,8 +1170,6 @@ cmdServe(int argc, const char *const *argv)
         static_cast<std::size_t>(flags.getInt("queue"));
     sopts.sessions.maxSessions =
         static_cast<std::size_t>(flags.getInt("max-sessions"));
-    sopts.broker.maxBatch =
-        static_cast<std::size_t>(flags.getInt("max-batch"));
     serve::FleetServer server(std::move(predictor), sopts);
 
     nopts.host = host;
