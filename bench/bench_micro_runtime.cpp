@@ -3,7 +3,8 @@
  * google-benchmark microbenchmarks of the runtime components that the
  * OverheadModel constants stand for: Random Forest inference, one
  * greedy hill-climb decision, one PPK exhaustive scan, the pattern
- * extractor's hot path, and the Theoretically Optimal planner.
+ * extractor's hot path, and the Theoretically Optimal planner; plus
+ * loading a saved Random Forest, which every `--model` run pays once.
  *
  * These measure this host, not the paper's A10-7850K; the point is the
  * relative cost structure (hill climb << exhaustive scan) that makes
@@ -14,12 +15,15 @@
 
 #include <cmath>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "bench_simd_main.hpp"
 #include "harness.hpp"
 #include "kernel/perf_model.hpp"
 #include "ml/features.hpp"
+#include "ml/serialize.hpp"
 #include "mpc/hill_climb.hpp"
 #include "mpc/pattern_extractor.hpp"
 #include "policy/knapsack.hpp"
@@ -319,6 +323,29 @@ BM_TrainPredictorEndToEnd(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TrainPredictorEndToEnd)->Unit(benchmark::kMillisecond);
+
+/**
+ * Loading a saved model: the fixture's predictor is written once, then
+ * each iteration parses the text back and compiles both forests, the
+ * start-up cost every `--model` consumer pays.
+ */
+void
+BM_LoadRandomForest(benchmark::State &state)
+{
+    std::ostringstream os;
+    ml::saveRandomForest(*fixture().rf, os);
+    const std::string text = os.str();
+    for (auto _ : state) {
+        std::istringstream is(text);
+        auto rf = ml::loadRandomForest(is);
+        benchmark::DoNotOptimize(rf);
+    }
+    state.counters["bytes"] = static_cast<double>(text.size());
+    state.counters["nodes"] = static_cast<double>(
+        fixture().rf->timeForest().totalNodes() +
+        fixture().rf->powerForest().totalNodes());
+}
+BENCHMARK(BM_LoadRandomForest)->Unit(benchmark::kMillisecond);
 
 void
 BM_SignatureAndLookup(benchmark::State &state)

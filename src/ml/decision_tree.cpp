@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <iomanip>
-#include <istream>
 #include <limits>
 #include <numeric>
 #include <ostream>
-#include <string>
+#include <string_view>
 
 #include "common/logging.hpp"
+#include "ml/model_reader.hpp"
 #include "ml/tree_builder.hpp"
 
 namespace gpupm::ml {
@@ -119,6 +119,42 @@ bestSplitForFeature(const Dataset &data,
         }
     }
     return best;
+}
+
+/**
+ * Fatal unless the child links of a loaded tree form one tree rooted
+ * at node 0, i.e. a walk from the root reaches every node exactly
+ * once. A self-loop, cycle or shared child would otherwise send
+ * FlatForest::compile's breadth-first renumbering round forever or
+ * duplicate a subtree, and an unreachable node is one no walk uses.
+ */
+void
+checkTreeShape(const std::vector<DecisionTree::Node> &nodes)
+{
+    std::vector<char> seen(nodes.size(), 0);
+    std::vector<std::int32_t> stack{0};
+    seen[0] = 1;
+    std::size_t reached = 1;
+    while (!stack.empty()) {
+        const auto &n = nodes[static_cast<std::size_t>(stack.back())];
+        stack.pop_back();
+        if (n.feature < 0)
+            continue;
+        for (const std::int32_t child : {n.left, n.right}) {
+            char &s = seen[static_cast<std::size_t>(child)];
+            if (s) {
+                GPUPM_FATAL("tree node ", child, " reached twice: "
+                            "child links form a cycle or share a node");
+            }
+            s = 1;
+            ++reached;
+            stack.push_back(child);
+        }
+    }
+    if (reached != nodes.size()) {
+        GPUPM_FATAL("tree has ", nodes.size() - reached, " of ",
+                    nodes.size(), " nodes unreachable from its root");
+    }
 }
 
 } // namespace
@@ -285,30 +321,38 @@ DecisionTree::save(std::ostream &os) const
 DecisionTree
 DecisionTree::load(std::istream &is)
 {
-    std::string tag;
+    detail::ModelReader in(is);
+    const std::string_view tag = in.token();
+    if (tag != "tree")
+        GPUPM_FATAL("malformed tree header (got '", tag, "')");
     std::size_t count = 0;
     DecisionTree t;
-    if (!(is >> tag >> count >> t._depth) || tag != "tree")
-        GPUPM_FATAL("malformed tree header (got '", tag, "')");
-    GPUPM_ASSERT(count > 0, "tree with zero nodes");
-    t._nodes.resize(count);
-    for (auto &n : t._nodes) {
-        if (!(is >> n.feature >> n.threshold >> n.left >> n.right >>
-              n.value)) {
+    if (!in.number(count) || !in.number(t._depth))
+        GPUPM_FATAL("malformed tree header (got 'tree')");
+    if (count == 0)
+        GPUPM_FATAL("tree with zero nodes");
+    for (std::size_t i = 0; i < count; ++i) {
+        Node n;
+        if (!in.number(n.feature) || !in.number(n.threshold) ||
+            !in.number(n.left) || !in.number(n.right) ||
+            !in.number(n.value)) {
             GPUPM_FATAL("truncated tree node list");
         }
         if (n.feature >= numFeatures ||
             (n.feature >= 0 &&
              (n.left < 0 || n.right < 0 ||
-              n.left >= static_cast<std::int32_t>(count) ||
-              n.right >= static_cast<std::int32_t>(count)))) {
+              static_cast<std::size_t>(n.left) >= count ||
+              static_cast<std::size_t>(n.right) >= count))) {
             GPUPM_FATAL("tree node out of range");
         }
         // A corrupted model file must fail here, not poison every
         // later prediction with NaN/inf.
         if (!std::isfinite(n.threshold) || !std::isfinite(n.value))
             GPUPM_FATAL("tree node with non-finite threshold or value");
+        detail::reserveTowards(t._nodes, count);
+        t._nodes.push_back(n);
     }
+    checkTreeShape(t._nodes);
     return t;
 }
 

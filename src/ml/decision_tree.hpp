@@ -123,10 +123,14 @@ class DecisionTree
 
     bool fitted() const { return !_nodes.empty(); }
 
-    /** Write the fitted tree ("tree <n>" header plus one node/line). */
+    /** Write the fitted tree ("tree <n> <depth>" plus one node/line). */
     void save(std::ostream &os) const;
 
-    /** Read a tree written by save(); fatal on malformed input. */
+    /**
+     * Read a tree written by save(); fatal on malformed input,
+     * including child links that do not reach every node exactly once
+     * from node 0.
+     */
     static DecisionTree load(std::istream &is);
 
     struct Node

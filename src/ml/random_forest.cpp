@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
 #include <limits>
 #include <ostream>
 #include <span>
-#include <string>
 
 #include "common/logging.hpp"
 #include "exec/thread_pool.hpp"
 #include "ml/flat_forest.hpp"
+#include "ml/model_reader.hpp"
 
 namespace gpupm::ml {
 
@@ -171,17 +170,20 @@ RandomForest::save(std::ostream &os) const
 RandomForest
 RandomForest::load(std::istream &is)
 {
-    std::string tag1, tag2;
+    detail::ModelReader in(is);
     std::size_t count = 0;
-    if (!(is >> tag1 >> tag2 >> count) || tag1 != "forest" ||
-        tag2 != "trees") {
+    if (in.token() != "forest" || in.token() != "trees" ||
+        !in.number(count)) {
         GPUPM_FATAL("malformed forest header");
     }
-    GPUPM_ASSERT(count > 0, "forest with zero trees");
+    if (count == 0)
+        GPUPM_FATAL("forest with zero trees");
     RandomForest rf;
-    rf._trees.reserve(count);
-    for (std::size_t i = 0; i < count; ++i)
-        rf._trees.push_back(DecisionTree::load(is));
+    for (std::size_t i = 0; i < count; ++i) {
+        DecisionTree tree = DecisionTree::load(is);
+        detail::reserveTowards(rf._trees, count);
+        rf._trees.push_back(std::move(tree));
+    }
     return rf;
 }
 

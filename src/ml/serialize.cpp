@@ -1,10 +1,10 @@
 #include "ml/serialize.hpp"
 
-#include <istream>
 #include <ostream>
-#include <string>
+#include <string_view>
 
 #include "common/logging.hpp"
+#include "ml/model_reader.hpp"
 
 namespace gpupm::ml {
 
@@ -23,15 +23,12 @@ saveRandomForest(const RandomForestPredictor &predictor, std::ostream &os)
 std::unique_ptr<RandomForestPredictor>
 loadRandomForest(std::istream &is)
 {
-    std::string magic, version;
-    if (!(is >> magic >> version) || magic != "gpupm-rf" ||
-        version != "v1") {
+    detail::ModelReader in(is);
+    if (in.token() != "gpupm-rf" || in.token() != "v1")
         GPUPM_FATAL("not a gpupm-rf v1 model stream");
-    }
 
-    std::string tag;
     int features = 0;
-    if (!(is >> tag >> features) || tag != "features")
+    if (in.token() != "features" || !in.number(features))
         GPUPM_FATAL("malformed model header");
     if (features != numFeatures) {
         GPUPM_FATAL("model was trained with ", features,
@@ -39,9 +36,8 @@ loadRandomForest(std::istream &is)
                     "; retrain instead of loading");
     }
 
-    auto expect_target = [&](const std::string &name) {
-        std::string t, n;
-        if (!(is >> t >> n) || t != "target" || n != name)
+    auto expect_target = [&](std::string_view name) {
+        if (in.token() != "target" || in.token() != name)
             GPUPM_FATAL("expected 'target ", name, "' section");
     };
     expect_target("time");

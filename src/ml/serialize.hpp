@@ -10,10 +10,20 @@
  * Format (line oriented, locale independent):
  *   gpupm-rf v1
  *   features <numFeatures>
- *   forest <name> trees <n>
- *   tree <nodes>
+ *   target time
+ *   forest trees <n>
+ *   tree <nodes> <depth>
  *   <feature> <threshold> <left> <right> <value>   (one per node)
+ *   ...                                            (n trees)
+ *   target power
+ *   forest trees <n>
  *   ...
+ *
+ * Loading reads tokens separated by any run of ASCII whitespace (so
+ * CRLF line ends load), each number a whole std::from_chars token, and
+ * consumes exactly the bytes of the model, so whatever follows it in
+ * the stream is left unread. A tree's child links must reach every
+ * node exactly once from node 0.
  */
 
 #pragma once
@@ -31,8 +41,10 @@ void saveRandomForest(const RandomForestPredictor &predictor,
 
 /**
  * Read a predictor previously written by saveRandomForest.
- * Fatal on malformed input or feature-count mismatch (a model trained
- * against a different feature schema must not be loaded silently).
+ * Fatal on malformed input (bad token, truncation, non-finite number,
+ * child links that do not form a tree) or feature-count mismatch (a
+ * model trained against a different feature schema must not be
+ * loaded silently).
  */
 std::unique_ptr<RandomForestPredictor> loadRandomForest(std::istream &is);
 

@@ -239,11 +239,10 @@ TEST(FlatForest, EnergyBatchMatchesScalarLoop)
 
 TEST(FlatForest, LoadRejectsCorruptNodes)
 {
-    // Non-finite numerals never make it past the istream parse on this
-    // toolchain (failbit on "nan"/"inf"/overflow), so they surface as
-    // truncation; the explicit isfinite() check in load() backstops
-    // parsers that do admit them. Either way a corrupted model must
-    // die at load time, not poison later predictions.
+    // std::from_chars reads "nan" and "inf" as numbers, so load()'s
+    // isfinite() check rejects them; "1e999" is out of range for a
+    // double and fails as a truncated node. Either way a corrupted
+    // model must die at load time, not poison later predictions.
     std::stringstream nan_value("tree 1 0\n-1 0 0 0 nan\n");
     EXPECT_DEATH(DecisionTree::load(nan_value), "truncated|non-finite");
     std::stringstream inf_thr("tree 1 0\n-1 inf 0 0 1.5\n");
