@@ -13,9 +13,9 @@
  * test_fleet_determinism); only the decisions-per-second differ.
  *
  * Two sharded studies ride on the same workload: BM_FleetSharded
- * splits the 64-session fleet over tenant-hash shards (per-shard
- * session managers and queues, drained by one work-stealing
- * pool), and BM_FleetMassive holds a 100k-session synthetic fleet with
+ * splits the 64-session fleet's session managers over tenant-hash
+ * shards (one request queue, drained by the server's worker threads),
+ * and BM_FleetMassive holds a 100k-session synthetic fleet with
  * overload shedding enabled - the scale study behind the "Fleet
  * serving" numbers in README/DESIGN. Every benchmark stamps decision
  * latency percentiles (latency_p50/p95/p99_ns) and the massive run its
@@ -151,8 +151,8 @@ BENCHMARK(BM_FleetServed)
 
 /**
  * The sharded server on the served workload: tenant-hash shards split
- * the session-manager locks, the one pool work-steals across shard
- * queues. Args are {shards, jobs} at a fixed 64 sessions; both axes
+ * the session-manager locks, every worker drains the one request
+ * queue. Args are {shards, jobs} at a fixed 64 sessions; both axes
  * are in the committed baseline.
  */
 void
@@ -183,7 +183,9 @@ BENCHMARK(BM_FleetSharded)
  * synthetic applications, sharded 8 ways with overload shedding armed.
  * One iteration is one complete fleet (hundreds of thousands of
  * decisions); the interesting outputs are the latency percentiles and
- * shed_rate counters, not the per-iteration wall time.
+ * shed_rate counters, not the per-iteration wall time. The shed
+ * setpoint is server-wide: 4096 = 8 shards x 512, the fleet-wide
+ * setpoint the committed baseline was recorded with.
  */
 void
 BM_FleetMassive(benchmark::State &state)
@@ -198,7 +200,7 @@ BM_FleetMassive(benchmark::State &state)
     opts.server.jobs = 8;
     opts.server.shards = 8;
     opts.server.shed.enabled = true;
-    opts.server.shed.targetDepth = 512;
+    opts.server.shed.targetDepth = 4096;
 
     forest(); // train outside the timed region
     serve::FleetResult last;

@@ -96,6 +96,10 @@ FlatForest::appendTree(const std::vector<DecisionTree::Node> &nodes)
             GPUPM_ASSERT(n.feature <
                              static_cast<std::int32_t>(numFeatures),
                          "feature index out of FeatureVector range");
+            // Levels and walk depths are 16-bit: a deeper tree would
+            // wrap its walk count and read past the arena.
+            if (level[slot] == std::numeric_limits<std::uint16_t>::max())
+                GPUPM_FATAL("tree deeper than 65535 levels");
             const std::size_t left_slot = order.size();
             order.push_back(n.left);
             order.push_back(n.right);

@@ -5,7 +5,7 @@
  * One event-loop thread owns the listening socket and every
  * connection's reads; decision work itself never runs here - Step
  * frames are admitted into the sharded FleetServer (trySubmit, i.e.
- * bounded queues with explicit rejection) and the server's worker
+ * a bounded queue with explicit rejection) and the server's worker
  * threads call back when a step completes. A completion appends the
  * Decision frame to the connection's write buffer under a small
  * per-connection mutex, marks the connection dirty, and kicks the
@@ -14,10 +14,10 @@
  * fills. So the wire path is: epoll thread parses and admits, worker
  * threads compute and enqueue replies, epoll thread writes.
  *
- * Backpressure is end-to-end explicit: a full shard queue surfaces as
- * Reject(QueueFull) - the wire face of load shedding - and a degraded
- * shard's decisions arrive marked degraded=1. The protocol itself is
- * in serve/wire.hpp.
+ * Backpressure is end-to-end explicit: a full request queue surfaces
+ * as Reject(QueueFull) - the wire face of load shedding - and a
+ * degraded server's decisions arrive marked degraded=1. The protocol
+ * itself is in serve/wire.hpp.
  *
  * Session creation (Open) runs the Turbo baseline inline on the event
  * loop; that is milliseconds per new tenant and keeps the loop single

@@ -20,7 +20,6 @@
 
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -48,13 +47,6 @@ class RequestQueue
     {
         std::lock_guard lock(_mutex);
         return _items.size();
-    }
-
-    bool
-    closed() const
-    {
-        std::lock_guard lock(_mutex);
-        return _closed;
     }
 
     /**
@@ -106,31 +98,6 @@ class RequestQueue
         {
             std::unique_lock lock(_mutex);
             _consumerCv.wait(lock, [this] {
-                return _closed || !_items.empty();
-            });
-            if (_items.empty())
-                return std::nullopt;
-            out = std::move(_items.front());
-            _items.pop_front();
-        }
-        _producerCv.notify_one();
-        return out;
-    }
-
-    /**
-     * Bounded-wait removal: like pop() but gives up after @p wait.
-     * nullopt on timeout or on closed-and-drained; the sharded worker
-     * loop uses this so an idle worker periodically re-scans sibling
-     * shards for stealable work instead of parking on one queue.
-     */
-    template <typename Rep, typename Period>
-    std::optional<T>
-    popFor(std::chrono::duration<Rep, Period> wait)
-    {
-        std::optional<T> out;
-        {
-            std::unique_lock lock(_mutex);
-            _consumerCv.wait_for(lock, wait, [this] {
                 return _closed || !_items.empty();
             });
             if (_items.empty())

@@ -9,6 +9,7 @@
 
 #include "common/logging.hpp"
 #include "exec/sweep.hpp"
+#include "exec/thread_pool.hpp"
 #include "ml/simd.hpp"
 #include "trace/trace.hpp"
 #include "workload/benchmarks.hpp"
@@ -19,7 +20,8 @@ namespace gpupm::serve {
 FleetServer::FleetServer(
     std::shared_ptr<const ml::PerfPowerPredictor> predictor,
     const FleetServerOptions &opts)
-    : _opts(opts), _telemetry(std::make_unique<telemetry::Registry>())
+    : _opts(opts), _telemetry(std::make_unique<telemetry::Registry>()),
+      _queue(_opts.queueCapacity), _shed(_opts.shed, _telemetry.get())
 {
     GPUPM_ASSERT(predictor != nullptr, "fleet server needs a predictor");
     GPUPM_ASSERT(_opts.shards > 0, "fleet server needs at least one shard");
@@ -35,7 +37,6 @@ FleetServer::FleetServer(
     _decisions = &_telemetry->counter("serve.decisions");
     _rejected = &_telemetry->counter("serve.rejected_requests");
     _lost = &_telemetry->counter("serve.lost_sessions");
-    _steals = &_telemetry->counter("serve.queue_steals");
     _shedDegraded =
         &_telemetry->counter("serve.shed_degraded_decisions");
     _depthHist = &_telemetry->histogram("serve.queue_depth");
@@ -51,10 +52,6 @@ FleetServer::FleetServer(
         shard.sessions = std::make_unique<SessionManager>(
             predictor, _opts.forestHandle, _opts.sessions, _opts.model,
             _telemetry.get(), _arbiter.get());
-        shard.queue = std::make_unique<RequestQueue<DecisionRequest>>(
-            _opts.queueCapacity);
-        shard.shed = std::make_unique<ShedController>(
-            _opts.shed, _telemetry.get());
         if (_arbiter) {
             // Per-shard cap accounting: which shard's tenants are
             // hitting their caps is what a rack operator asks first.
@@ -71,19 +68,12 @@ FleetServer::FleetServer(
     }
 
     const std::size_t jobs = exec::ThreadPool::resolveJobs(_opts.jobs);
-    _pool = std::make_unique<exec::ThreadPool>(jobs);
+    _workers.reserve(jobs);
     for (std::size_t j = 0; j < jobs; ++j) {
-        if (_shards.size() == 1) {
-            // Single shard: the classic blocking drain loop - no
-            // steal scans, no timed waits, identical behavior to the
-            // pre-sharding server.
-            _pool->post([this] {
-                while (auto req = _shards[0].queue->pop())
-                    process(*req);
-            });
-        } else {
-            _pool->post([this, j] { workerLoop(j); });
-        }
+        _workers.emplace_back([this] {
+            while (auto req = _queue.pop())
+                process(*req);
+        });
     }
 }
 
@@ -95,11 +85,11 @@ FleetServer::stop()
     if (_stopped)
         return;
     _stopped = true;
-    // Closing the queues lets workers drain what was admitted and then
-    // exit their loops; the pool destructor joins them.
-    for (Shard &shard : _shards)
-        shard.queue->close();
-    _pool.reset();
+    // Closing the queue lets workers drain what was admitted and then
+    // exit their loops.
+    _queue.close();
+    for (std::thread &worker : _workers)
+        worker.join();
 }
 
 SessionManager &
@@ -124,11 +114,10 @@ bool
 FleetServer::trySubmit(DecisionRequest req)
 {
     req.submitted = std::chrono::steady_clock::now();
-    Shard &shard = _shards[shardOf(req.session)];
-    const std::size_t depth = shard.queue->depth();
+    const std::size_t depth = _queue.depth();
     _depthHist->record(depth);
-    shard.shed->sample(depth);
-    if (shard.queue->tryPush(std::move(req)))
+    _shed.sample(depth);
+    if (_queue.tryPush(std::move(req)))
         return true;
     _rejected->add();
     return false;
@@ -138,73 +127,19 @@ bool
 FleetServer::submit(DecisionRequest req)
 {
     req.submitted = std::chrono::steady_clock::now();
-    Shard &shard = _shards[shardOf(req.session)];
-    const std::size_t depth = shard.queue->depth();
+    const std::size_t depth = _queue.depth();
     _depthHist->record(depth);
-    shard.shed->sample(depth);
-    if (shard.queue->push(std::move(req)))
+    _shed.sample(depth);
+    if (_queue.push(std::move(req)))
         return true;
     _rejected->add(); // closed while (or before) waiting for space
     return false;
 }
 
 std::size_t
-FleetServer::queueDepth() const
-{
-    std::size_t depth = 0;
-    for (const Shard &shard : _shards)
-        depth += shard.queue->depth();
-    return depth;
-}
-
-std::size_t
 FleetServer::rejectedRequests() const
 {
     return static_cast<std::size_t>(_rejected->value());
-}
-
-void
-FleetServer::workerLoop(std::size_t worker)
-{
-    const std::size_t nshards = _shards.size();
-    const std::size_t home = worker % nshards;
-    while (true) {
-        if (auto req = _shards[home].queue->tryPop()) {
-            process(*req);
-            continue;
-        }
-        // Steal queued work from sibling shards before idling: the
-        // tenant hash balances only in expectation, and a hot shard's
-        // backlog is as good as home work (sessions carry their shard
-        // with them - process() routes by id, so a stolen request
-        // checks out of its own shard's manager).
-        bool worked = false;
-        for (std::size_t k = 1; k < nshards && !worked; ++k) {
-            if (auto req = _shards[(home + k) % nshards].queue->tryPop()) {
-                _steals->add();
-                process(*req);
-                worked = true;
-            }
-        }
-        if (worked)
-            continue;
-        if (auto req = _shards[home].queue->popFor(
-                std::chrono::microseconds(500))) {
-            process(*req);
-            continue;
-        }
-        // Exit only when every queue is closed and drained; a timed-out
-        // wait with open queues just re-runs the steal scan.
-        bool done = true;
-        for (const Shard &shard : _shards) {
-            if (!shard.queue->closed() || shard.queue->depth() != 0) {
-                done = false;
-                break;
-            }
-        }
-        if (done)
-            return;
-    }
 }
 
 void
@@ -244,7 +179,7 @@ FleetServer::process(const DecisionRequest &req)
             req.onDone(req.session, nullptr);
         return;
     }
-    const bool degraded = shard.shed->degraded();
+    const bool degraded = _shed.degraded();
     const DecisionRecord rec = s->step(degraded);
     shard.sessions->checkin(req.session);
     if (degraded)
@@ -278,10 +213,10 @@ runFleet(std::shared_ptr<const ml::PerfPowerPredictor> predictor,
     GPUPM_ASSERT(opts.sessionCount > 0, "fleet needs at least one session");
 
     // Size the server so the driver's invariants hold: one in-flight
-    // request per session always fits its shard's queue (workers
-    // re-enqueue through blocking submit; a shard queue that could
-    // fill with every worker stuck submitting to it would deadlock),
-    // and the LRU cap never evicts a live session mid-run.
+    // request per session always fits the queue (workers re-enqueue
+    // through blocking submit; a queue that could fill with every
+    // worker stuck submitting to it would deadlock), and the LRU cap
+    // never evicts a live session mid-run.
     FleetServerOptions sopts = opts.server;
     sopts.queueCapacity =
         std::max(sopts.queueCapacity, opts.sessionCount);

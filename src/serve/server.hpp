@@ -3,32 +3,31 @@
  * The sharded fleet decision server and the deterministic fleet
  * driver.
  *
- * FleetServer glues the serve subsystem together as N independent
- * *shards*, keyed by tenant hash: each shard owns its own
- * SessionManager (so checkout-lease acquisition never crosses
- * shards - the former global manager lock was the fleet's
- * serialization point), its own bounded RequestQueue and its own
- * ShedController. One exec::ThreadPool drains all shards: a worker's
- * *home* shard is worker % shards, and an idle worker steals queued
- * requests from sibling shards, so load imbalance across the tenant
- * hash costs throughput nowhere. A worker walks its decision's memo
- * misses itself (SessionPredictor); nothing batches across sessions.
+ * FleetServer glues the serve subsystem together: one bounded
+ * RequestQueue and one ShedController for the whole server, drained
+ * by `jobs` worker threads that each block in the queue's pop() and
+ * step whatever request comes next, and N session *shards*, keyed by
+ * tenant hash, each owning its own SessionManager, so checkout-lease
+ * acquisition never crosses shards (the former global manager lock
+ * was the fleet's serialization point). A worker walks its decision's
+ * memo misses itself (SessionPredictor); nothing batches across
+ * sessions.
  *
  * Identity is global: session ids come from one server-wide counter,
  * so a tenant's id - and therefore its per-session RNG stream and
  * its whole decision trace - does not depend on the shard count.
  * Routing is pure (mix64(id) % shards), never a map lookup.
  *
- * Overload control: each shard samples its queue depth at admission
- * into a windowed-error shed controller (serve/shed.hpp). While a
- * shard is degraded, its workers skip the MPC governor and step
- * sessions at the paper's fail-safe configuration, so the queue
- * drains at near-zero decision cost instead of growing unboundedly;
- * shed transitions and degraded decisions are counted in telemetry
- * and marked in DecisionRecord provenance.
+ * Overload control: every admission samples the queue depth into a
+ * windowed-error shed controller (serve/shed.hpp). While the server
+ * is degraded, workers skip the MPC governor and step sessions at the
+ * paper's fail-safe configuration, so the queue drains at near-zero
+ * decision cost instead of growing unboundedly; shed transitions and
+ * degraded decisions are counted in telemetry and marked in
+ * DecisionRecord provenance.
  *
  * Server metrics (queue depth, decision latency, rejected requests,
- * steals, shed counters) accumulate in an owned telemetry::Registry.
+ * shed counters) accumulate in an owned telemetry::Registry.
  *
  * runFleet() is the deterministic driver used by the CLI, the golden
  * trace test and the benchmark: it creates N sessions (round-robin
@@ -50,10 +49,10 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exec/sweep.hpp"
-#include "exec/thread_pool.hpp"
 #include "online/learner.hpp"
 #include "powercap/arbiter.hpp"
 #include "serve/request_queue.hpp"
@@ -65,15 +64,15 @@ namespace gpupm::serve {
 
 struct FleetServerOptions
 {
-    /** Worker threads draining the shards; 0 = hardware concurrency. */
+    /** Worker threads draining the queue; 0 = hardware concurrency. */
     std::size_t jobs = 1;
-    /** SessionManager/queue/shed shards (tenant-hash keyed). */
+    /** SessionManager shards (tenant-hash keyed). */
     std::size_t shards = 1;
-    /** Per-shard request-queue bound (admission backpressure). */
+    /** Server-wide request-queue bound (admission backpressure). */
     std::size_t queueCapacity = 1024;
     /** Per-shard session cap (total capacity = shards * maxSessions). */
     SessionManagerOptions sessions;
-    /** Per-shard overload policy; disabled by default. */
+    /** Server-wide overload policy; disabled by default. */
     ShedOptions shed;
     /**
      * Default hardware model for sessions without their own override
@@ -136,9 +135,7 @@ class FleetServer
     /** The home shard of @p id (pure tenant-hash routing). */
     std::size_t shardOf(SessionId id) const
     {
-        return _shards.size() == 1
-                   ? 0
-                   : exec::mix64(id) % _shards.size();
+        return exec::mix64(id) % _shards.size();
     }
 
     /** Single-shard convenience accessor; fatal when shards > 1. */
@@ -150,15 +147,9 @@ class FleetServer
         return *_shards.at(shard).sessions;
     }
 
-    /** Shard @p shard's shed controller. */
-    const ShedController &shedController(std::size_t shard) const
-    {
-        return *_shards.at(shard).shed;
-    }
-
     /**
      * Non-blocking admission; false (and a rejected-request count) when
-     * the home shard's queue is full or the server is stopped.
+     * the queue is full or the server is stopped.
      */
     bool trySubmit(DecisionRequest req);
 
@@ -168,8 +159,8 @@ class FleetServer
     /** Close admission, drain queued requests, join workers. */
     void stop();
 
-    /** Total queued requests across all shards. */
-    std::size_t queueDepth() const;
+    /** Requests queued and not yet taken by a worker. */
+    std::size_t queueDepth() const { return _queue.depth(); }
     std::size_t rejectedRequests() const;
 
     telemetry::Registry &telemetry() { return *_telemetry; }
@@ -189,8 +180,6 @@ class FleetServer
     struct Shard
     {
         std::unique_ptr<SessionManager> sessions;
-        std::unique_ptr<RequestQueue<DecisionRequest>> queue;
-        std::unique_ptr<ShedController> shed;
         /** Cap violations measured on this shard's sessions. */
         telemetry::Counter *capViolations = nullptr;
         /** Decisions this shard served with a finite cap enforced. */
@@ -198,25 +187,25 @@ class FleetServer
     };
 
     void process(const DecisionRequest &req);
-    /** Work-stealing drain loop of one worker (shards > 1). */
-    void workerLoop(std::size_t worker);
 
     FleetServerOptions _opts;
     std::unique_ptr<telemetry::Registry> _telemetry;
     /** Declared before the shards: sessions unregister on eviction. */
     std::unique_ptr<powercap::FleetCapArbiter> _arbiter;
     std::vector<Shard> _shards;
-    std::unique_ptr<exec::ThreadPool> _pool;
+    RequestQueue<DecisionRequest> _queue;
+    ShedController _shed;
     std::atomic<SessionId> _nextId{1};
     bool _stopped = false;
 
     telemetry::Counter *_decisions = nullptr;
     telemetry::Counter *_rejected = nullptr;
     telemetry::Counter *_lost = nullptr;
-    telemetry::Counter *_steals = nullptr;
     telemetry::Counter *_shedDegraded = nullptr;
     telemetry::Histogram *_depthHist = nullptr;
     telemetry::Histogram *_latencyHist = nullptr;
+    /** Declared last: the workers use every member above. */
+    std::vector<std::thread> _workers;
 };
 
 /** Fleet workload description for runFleet. */

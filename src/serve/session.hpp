@@ -156,7 +156,7 @@ class Session
      *        configuration [P7, NB2, DPM4, 8CU] with zero decision
      *        overhead. The kernel still executes and all energy/time
      *        charges still accrue; the governor neither decides nor
-     *        observes, so a shard under shed pressure drains its
+     *        observes, so a server under shed pressure drains its
      *        queue at near-zero decision cost. Degraded steps are
      *        marked in the returned record and traced with tag 'S'.
      */

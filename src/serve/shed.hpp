@@ -6,7 +6,7 @@
  * accumulator with hysteresis (powercap heuristics: accumulate the
  * signed error against a setpoint over a fixed window, act only when
  * whole windows agree, and require sustained calm before acting
- * back): each shard samples its queue depth at admission, accumulates
+ * back): the server samples its queue depth at admission, accumulates
  * `depth - targetDepth` over `window` samples, and flips into
  * *degraded* mode only after `sustain` consecutive over-target
  * windows. While degraded, workers skip the MPC governor and apply
@@ -15,7 +15,7 @@
  * decision cost instead of queuing unboundedly. The controller exits
  * degraded mode only after `recover` consecutive windows whose mean
  * depth sits below `recoverFraction * targetDepth` - the asymmetric
- * thresholds are the hysteresis band that keeps a loaded shard from
+ * thresholds are the hysteresis band that keeps a loaded server from
  * flapping between modes at window granularity.
  *
  * Thread model: sample() is called by every producer thread at

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -176,6 +177,52 @@ TEST(Serialize, RejectsUnreachableNodes)
                                 "-1 0 -1 -1 2\n0 0.5 3 3 0\n");
     EXPECT_EXIT(DecisionTree::load(side_loop),
                 testing::ExitedWithCode(1), "1 of 4 nodes unreachable");
+}
+
+/**
+ * A model whose time tree is a chain of @p levels splits on feature 0:
+ * split i has threshold i + 0.5 and a leaf of value i on its left, so
+ * a row with f[0] = k (k <= levels) stops at depth k and predicts k.
+ */
+std::string
+chainModel(std::size_t levels)
+{
+    std::string tree = "tree " + std::to_string(2 * levels + 1) + ' ' +
+                       std::to_string(levels) + '\n';
+    for (std::size_t i = 0; i < levels; ++i) {
+        tree += "0 " + std::to_string(i) + ".5 " +
+                std::to_string(2 * i + 1) + ' ' +
+                std::to_string(2 * i + 2) + " 0\n-1 0 -1 -1 " +
+                std::to_string(i) + '\n';
+    }
+    tree += "-1 0 -1 -1 " + std::to_string(levels) + '\n';
+    return modelWithTimeTree(tree);
+}
+
+TEST(Serialize, RejectsTreesDeeperThanTheWalkDepth)
+{
+    // Walk depths are 16-bit: a 70,000-level chain would wrap its walk
+    // count and read past the arena instead of reaching its leaves.
+    std::stringstream s(chainModel(70000));
+    EXPECT_EXIT(loadRandomForest(s), testing::ExitedWithCode(1),
+                "tree deeper than 65535 levels");
+}
+
+TEST(Serialize, DeepestWalkableTreeMatchesRandomForest)
+{
+    std::stringstream s(chainModel(65535));
+    const auto loaded = loadRandomForest(s);
+    auto flat = FlatForest::compile(loaded->timeForest());
+    flat.setSimdMode(SimdMode::Scalar);
+    for (const double k : {0.0, 1.0, 40000.0, 65534.0, 65535.0, 1e9}) {
+        FeatureVector row{};
+        row[0] = k;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(flat.predict(row)),
+                  std::bit_cast<std::uint64_t>(
+                      loaded->timeForest().predict(row)))
+            << "f[0] = " << k;
+        EXPECT_EQ(flat.predict(row), std::min(k, 65535.0));
+    }
 }
 
 /** Every tree of a model text as `>>` reads it: the reference parse. */

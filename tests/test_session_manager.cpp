@@ -18,6 +18,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "ml/predictor.hpp"
 #include "serve/server.hpp"
 #include "serve/session_manager.hpp"
@@ -303,7 +305,7 @@ TEST(FleetServerShardedDeathTest, SingleShardAccessorIsFatalWhenSharded)
 TEST(FleetServerSharded, CrossShardStepsAllCallBack)
 {
     // Requests for tenants on every shard, drained by more workers
-    // than shards: the work-stealing loop must deliver exactly one
+    // than shards: the one request queue must deliver exactly one
     // callback per accepted request, with no duplicates and no drops.
     FleetServerOptions opts;
     opts.shards = 3;
@@ -328,6 +330,27 @@ TEST(FleetServerSharded, CrossShardStepsAllCallBack)
     server.stop(); // drains every queue before joining workers
     EXPECT_EQ(callbacks.load(), accepted);
     EXPECT_EQ(accepted, ids.size() * 8);
+}
+
+TEST(FleetServerSharded, IdleWorkersBlock)
+{
+    // An idle server's workers sleep in the queue's pop() until a
+    // request arrives; a polling loop would show up here as thousands
+    // of voluntary context switches per second.
+    FleetServerOptions opts;
+    opts.shards = 4;
+    opts.jobs = 4;
+    FleetServer server(sharedPredictor(), opts);
+    const auto switches = [] {
+        rusage usage{};
+        getrusage(RUSAGE_SELF, &usage);
+        return usage.ru_nvcsw;
+    };
+    const auto before = switches();
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    const auto idle = switches() - before;
+    server.stop();
+    EXPECT_LE(idle, 100) << "voluntary context switches in 300 ms idle";
 }
 
 TEST(FleetServerSharded, EvictionVsPinningFuzzAcrossShards)

@@ -264,25 +264,25 @@ applySimdFlag(const FlagParser &flags)
 
 /**
  * Shared --shards / --shed flag family for the fleet subcommands:
- * tenant-hash sharding of the decision server plus the per-shard
- * windowed-error overload controller (serve/shed.hpp).
+ * tenant-hash sharding of the decision server's session managers plus
+ * its windowed-error overload controller (serve/shed.hpp).
  */
 void
 addShardFlags(FlagParser &flags)
 {
     flags.addInt("shards", 1,
-                 "tenant-hash server shards (each owns its own session "
-                 "manager, request queue and shed controller)",
+                 "tenant-hash session-manager shards (the server keeps "
+                 "one request queue and one shed controller)",
                  1, 4096);
     flags.addBool("shed",
-                  "enable per-shard overload shedding: sustained queue "
+                  "enable overload shedding: sustained request-queue "
                   "pressure degrades decisions to the fail-safe config");
     flags.addInt("shed-window", 64,
                  "admission samples per shed decision window", 1,
                  1 << 20);
     flags.addInt("shed-depth", 256,
-                 "per-shard queue-depth setpoint; sustained depth above "
-                 "this sheds",
+                 "server-wide queue-depth setpoint; sustained depth "
+                 "above this sheds",
                  1, 1 << 20);
     flags.addInt("shed-sustain", 2,
                  "consecutive over-target windows required to shed", 1,
@@ -928,16 +928,6 @@ cmdFleet(int argc, const char *const *argv)
                       << cnt("serve.shed_enters") << " enters, "
                       << cnt("serve.shed_exits") << " exits\n";
         }
-        if (fopts.server.shards > 1) {
-            const auto it =
-                result.metrics.counters.find("serve.queue_steals");
-            std::cout << "shards: " << fopts.server.shards
-                      << ", queue steals "
-                      << (it != result.metrics.counters.end()
-                              ? it->second
-                              : std::uint64_t{0})
-                      << "\n";
-        }
         // Row counts depend on cache/memo hit patterns, which vary
         // with worker scheduling - hence outside --deterministic.
         const auto &c = result.metrics.counters;
@@ -1102,13 +1092,13 @@ cmdServe(int argc, const char *const *argv)
                     "bound port is printed on startup)");
     flags.addString("predictor", "rf", "perfect|rf|err15|err5");
     flags.addString("model", "", "saved .rf model (with --predictor rf)");
-    flags.addInt("jobs", 1, "worker threads draining the shard queues",
+    flags.addInt("jobs", 1, "worker threads draining the request queue",
                  1, 4096);
     flags.addInt("runs", 2,
                  "default MPC executions after profiling (Open frames "
                  "may override)",
                  1, 10000);
-    flags.addInt("queue", 1024, "per-shard request-queue capacity", 1,
+    flags.addInt("queue", 1024, "server-wide request-queue capacity", 1,
                  1 << 20);
     flags.addInt("cache", 32,
                  "default per-session kernel prediction-cache cap", 0,
