@@ -26,10 +26,6 @@ gpupm_bench(bench_ablation)
 gpupm_bench(bench_tdp_study)
 
 # google-benchmark microbenchmarks (runtime overhead calibration).
-# All three benchmark binaries use bench_simd_main.hpp instead of
-# BENCHMARK_MAIN(): it accepts --simd=<mode> (which the benchmark flag
-# parser would reject) and stamps the resolved SIMD path into the JSON
-# context so perf_compare.py can refuse cross-engine comparisons.
 add_executable(bench_micro_runtime bench/bench_micro_runtime.cpp)
 target_link_libraries(bench_micro_runtime PRIVATE gpupm_bench_harness
     benchmark::benchmark)
@@ -91,13 +87,12 @@ add_custom_target(bench-compare
 # load 0.5) - the tail gate exists to catch order-of-magnitude
 # regressions like an unbounded queue, not microsecond jitter.
 # Regenerate the baseline with the same filter:
-#   ./build/bench/bench_fleet_throughput --simd=auto \
+#   ./build/bench/bench_fleet_throughput \
 #       --benchmark_filter='Sharded|Massive' \
 #       --benchmark_out=docs/perf/BENCH_fleet_sharded.json \
 #       --benchmark_out_format=json
 add_custom_target(bench-fleet-compare
     COMMAND ${CMAKE_BINARY_DIR}/bench/bench_fleet_throughput
-        --simd=auto
         --benchmark_filter=Sharded|Massive
         --benchmark_out=${CMAKE_BINARY_DIR}/bench/BENCH_fleet_candidate.json
         --benchmark_out_format=json
@@ -116,12 +111,11 @@ add_custom_target(bench-fleet-compare
 # is on throughput (same 25% bar as the fleet benches - the workload
 # and trace bookkeeping are deterministic, so only the wall-clock rate
 # is noisy). Regenerate the baseline with:
-#   ./build/bench/bench_fleet_powercap --simd=auto \
+#   ./build/bench/bench_fleet_powercap \
 #       --benchmark_out=docs/perf/BENCH_powercap.json \
 #       --benchmark_out_format=json
 add_custom_target(bench-powercap-compare
     COMMAND ${CMAKE_BINARY_DIR}/bench/bench_fleet_powercap
-        --simd=auto
         --benchmark_out=${CMAKE_BINARY_DIR}/bench/BENCH_powercap_candidate.json
         --benchmark_out_format=json
     COMMAND ${Python3_EXECUTABLE} ${CMAKE_SOURCE_DIR}/tools/perf_compare.py

@@ -35,7 +35,6 @@
 #include <map>
 #include <memory>
 
-#include "bench_simd_main.hpp"
 #include "harness.hpp"
 #include "ml/trainer.hpp"
 #include "serve/server.hpp"
@@ -198,8 +197,4 @@ BENCHMARK(BM_FleetPowercapUsageSplit)
 
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    return bench::simdBenchmarkMain(argc, argv);
-}
+BENCHMARK_MAIN();

@@ -34,7 +34,6 @@
 
 #include <memory>
 
-#include "bench_simd_main.hpp"
 #include "harness.hpp"
 #include "ml/trainer.hpp"
 #include "serve/server.hpp"
@@ -218,8 +217,4 @@ BENCHMARK(BM_FleetMassive)
 
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    return bench::simdBenchmarkMain(argc, argv);
-}
+BENCHMARK_MAIN();

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_simd_main.hpp"
 #include "harness.hpp"
 #include "kernel/perf_model.hpp"
 #include "ml/features.hpp"
@@ -102,7 +101,7 @@ BENCHMARK(BM_ScalarForestReference);
 /**
  * The flat engine itself: tree-major batched walks of both full
  * forests over the 336-config static space, features prebuilt. No
- * specialization, no memo - this is the raw per-config cost of a
+ * memo - this is the raw per-config cost of a
  * (time, power) prediction pair, the number to compare against
  * BM_ScalarForestReference.
  */
@@ -407,8 +406,4 @@ BENCHMARK(BM_McpSteadyStateRunSpmv)->Unit(benchmark::kMillisecond);
 
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    return bench::simdBenchmarkMain(argc, argv);
-}
+BENCHMARK_MAIN();

@@ -42,7 +42,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench_simd_main.hpp"
 #include "hw/config.hpp"
 #include "kernel/perf_model.hpp"
 #include "ml/trainer.hpp"
@@ -243,8 +242,4 @@ BENCHMARK(BM_FleetAdaptsToShift)
 
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    return bench::simdBenchmarkMain(argc, argv);
-}
+BENCHMARK_MAIN();

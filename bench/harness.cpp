@@ -27,9 +27,6 @@ harnessOptionsFromArgs(int argc, const char *const *argv)
     flags.addPath("trace-out", "",
                   "write a Chrome trace-event JSON timeline of this "
                   "bench run here");
-    flags.addString("simd", toString(ml::defaultSimdMode()),
-                    "forest inference engine: scalar (float64, "
-                    "default), auto, avx2, fallback (see ml/simd.hpp)");
     if (!flags.parse(argc, argv)) {
         std::cerr << (flags.helpRequested() ? "" : flags.error() + "\n")
                   << flags.usage();
@@ -40,17 +37,6 @@ harnessOptionsFromArgs(int argc, const char *const *argv)
     opts.seed = static_cast<std::uint64_t>(flags.getInt("seed"));
     opts.modelCache = flags.getPath("model-cache");
     opts.traceOut = flags.getPath("trace-out");
-    const auto simd = ml::parseSimdMode(flags.getString("simd"));
-    if (!simd) {
-        std::cerr << "invalid --simd value '" << flags.getString("simd")
-                  << "' (want scalar|auto|avx2|fallback)\n";
-        std::exit(2);
-    }
-    // Install as the process default: predictors are built in many
-    // places (harness training, model-cache loads, fleet sessions,
-    // online refit fallbacks) and all consult defaultSimdMode().
-    ml::setDefaultSimdMode(*simd);
-    opts.simd = *simd;
     return opts;
 }
 

@@ -102,19 +102,11 @@ struct HarnessOptions
      * lifetime; the file is written by the destructor.
      */
     std::string traceOut;
-    /**
-     * Inference engine for the trained predictor (see ml/simd.hpp).
-     * Defaults to the process default (GPUPM_SIMD env, else scalar);
-     * harnessOptionsFromArgs installs a `--simd` override as the new
-     * process default so every predictor the bench builds - harness,
-     * fleet sessions, online refits - runs the same engine.
-     */
-    ml::SimdMode simd = ml::defaultSimdMode();
 };
 
 /**
  * Parse the standard bench flags (--jobs, --seed, --model-cache,
- * --trace-out, --simd) from argv. Prints usage and exits on --help or
+ * --trace-out) from argv. Prints usage and exits on --help or
  * a malformed command line.
  */
 HarnessOptions harnessOptionsFromArgs(int argc,

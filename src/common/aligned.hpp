@@ -1,15 +1,15 @@
 /**
  * @file
- * Cache-line-aligned vector storage for gather-friendly arenas.
+ * Cache-line-aligned vector storage for packed arenas.
  *
  * std::vector's default allocator only guarantees
  * alignof(std::max_align_t) (16 on x86-64), so a packed node arena can
- * start mid cache line and a 64-byte group of records then straddles
- * two lines - every SIMD gather over it pays a split-line penalty.
- * AlignedVector pins the allocation to a 64-byte boundary instead;
- * combined with record strides that divide 64 this makes "never
- * straddles a cache line" a structural property rather than an
- * allocator accident.
+ * start mid cache line, and which records share a line then depends on
+ * where the allocator placed it. AlignedVector pins the allocation to
+ * a 64-byte boundary instead; combined with record strides that divide
+ * 64 this makes the grouping a structural property rather than an
+ * allocator accident: FlatForest's 16-byte nodes always sit four to a
+ * line, in the same groups on every run.
  */
 
 #pragma once

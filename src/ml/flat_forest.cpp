@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cmath>
 #include <cstddef>
 #include <cstring>
 #include <utility>
 #include <limits>
 
 #include "common/logging.hpp"
-#include "ml/flat_forest_kernels.hpp"
 #include "ml/random_forest.hpp"
 #include "trace/trace.hpp"
 
@@ -18,58 +16,15 @@ namespace gpupm::ml {
 
 namespace {
 
-/**
- * Pack one quantized traversal record: low half `feature << 16 |
- * uint16(qthr)`, high half the child offset. Field extraction in the
- * walk kernels is shift/mask arithmetic on the 64-bit value, so the
- * layout is endian-independent for the portable path; the AVX2
- * kernels additionally rely on little-endian to gather the halves as
- * adjacent 32-bit words.
- */
-inline std::int64_t
-packQuantNode(std::int32_t meta, std::int32_t offset)
-{
-    return static_cast<std::int64_t>(
-        static_cast<std::uint64_t>(static_cast<std::uint32_t>(meta)) |
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(offset))
-         << 32));
-}
-
-/** Low (meta) half of a packed quantized record. */
-inline std::int32_t
-quantMeta(std::int64_t rec)
-{
-    return static_cast<std::int32_t>(
-        static_cast<std::uint32_t>(static_cast<std::uint64_t>(rec)));
-}
-
-/**
- * floor() over the clamped range both quantize maps use, without the
- * libm call std::floor compiles to on baseline x86-64 (no SSE4.1
- * roundsd): truncate toward zero, then subtract one when truncation
- * rounded up (negative non-integers). Exact for |v| < 2^31, which the
- * callers' clamps guarantee; bit-identical to std::floor there.
- */
-inline std::int32_t
-floorToInt(double v)
-{
-    const auto iv = static_cast<std::int32_t>(v);
-    return iv - (static_cast<double>(iv) > v ? 1 : 0);
-}
-
-/**
- * Arena identities are handed out once per built arena and never
- * recycled, so a cache entry keyed on one can dangle harmlessly: after
- * the forest dies the id simply never matches again.
- */
-std::uint64_t
-nextArenaId()
-{
-    static std::atomic<std::uint64_t> counter{0};
-    return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
+std::atomic<std::uint64_t> g_rowsWalked{0};
 
 } // namespace
+
+std::uint64_t
+forestRowsWalked()
+{
+    return g_rowsWalked.load(std::memory_order_relaxed);
+}
 
 void
 FlatForest::appendTree(const std::vector<DecisionTree::Node> &nodes)
@@ -140,133 +95,11 @@ FlatForest::finalizeWalkOrder()
                      });
 }
 
-std::int16_t
-FlatForest::quantizeFeature(const FeatureQuantizer &qz, double x)
-{
-    // NaN goes left unconditionally, matching the float comparison
-    // (NaN > t is false): INT16_MIN is below every quantized
-    // threshold, including the most negative real one (-kQuantBias).
-    if (x != x)
-        return std::numeric_limits<std::int16_t>::min();
-    if (qz.inv == 0.0)
-        return 0; // feature never split on; any cell works
-    // Saturate one cell beyond the threshold grid *in the double
-    // domain*, so +-inf, denormal-adjacent garbage and huge products
-    // never hit undefined float->int conversions; clamping before the
-    // floor is exact because floor is monotone and both bounds are
-    // integers. The negated comparison also catches a NaN product.
-    double v = (x - qz.lo) * qz.inv;
-    if (!(v > -1.0))
-        v = -1.0;
-    else if (v > kQuantCells + 1.0)
-        v = kQuantCells + 1.0;
-    return static_cast<std::int16_t>(floorToInt(v) - kQuantBias);
-}
-
-std::int16_t
-FlatForest::quantizeThreshold(const FeatureQuantizer &qz, double t)
-{
-    // Same affine floor as quantizeFeature but clamped *into* the
-    // grid [0, kQuantCells]: features saturate one cell beyond both
-    // ends, so an off-grid feature still compares strictly against
-    // every threshold. Both maps floor the same monotone affine
-    // expression, which makes quantized decisions order-consistent
-    // with the float ones (see the header's error model).
-    double v = (t - qz.lo) * qz.inv;
-    if (!(v > 0.0))
-        v = 0.0;
-    else if (v > static_cast<double>(kQuantCells))
-        v = static_cast<double>(kQuantCells);
-    return static_cast<std::int16_t>(floorToInt(v) - kQuantBias);
-}
-
-void
-FlatForest::buildQuantTables()
-{
-    // Pass 1: each feature's split-threshold span across all trees.
-    std::array<double, numFeatures> lo{};
-    std::array<double, numFeatures> hi{};
-    std::array<bool, numFeatures> seen{};
-    for (const Node &nd : _nodes) {
-        if (nd.offset == 0)
-            continue;
-        const auto f = static_cast<std::size_t>(nd.feature);
-        if (!seen[f]) {
-            seen[f] = true;
-            lo[f] = hi[f] = nd.threshold;
-        } else {
-            lo[f] = std::min(lo[f], nd.threshold);
-            hi[f] = std::max(hi[f], nd.threshold);
-        }
-    }
-
-    // A feature with a single distinct threshold still needs a
-    // non-degenerate scale: a huge inv turns the cell width ~0, so
-    // only features pathologically close to the lone threshold can
-    // flip (and the clamps keep everything total).
-    constexpr double kHugeInv = 4294967296.0; // 2^32
-    for (std::size_t f = 0;
-         f < static_cast<std::size_t>(numFeatures); ++f) {
-        if (!seen[f]) {
-            _quant[f] = {0.0, 0.0};
-            continue;
-        }
-        const double span = hi[f] - lo[f];
-        const double inv =
-            (span > 0.0 && std::isfinite(span))
-                ? static_cast<double>(kQuantCells) / span
-                : kHugeInv;
-        _quant[f] = {lo[f], inv};
-    }
-
-    // SoA mirror for the vectorized row quantizer. Padding entries
-    // keep inv == 0, so vector lanes past numFeatures quantize to the
-    // same 0 the scalar padding loop writes.
-    _qlo.fill(0.0);
-    _qinv.fill(0.0);
-    for (std::size_t f = 0;
-         f < static_cast<std::size_t>(numFeatures); ++f) {
-        _qlo[f] = _quant[f].lo;
-        _qinv[f] = _quant[f].inv;
-    }
-
-    // Pass 2: pack the mirror arena of 8-byte traversal records.
-    _qnodes.resize(_nodes.size());
-    for (std::size_t i = 0; i < _nodes.size(); ++i) {
-        const Node &nd = _nodes[i];
-        if (nd.offset == 0) {
-            _qnodes[i] = packQuantNode(
-                static_cast<std::int32_t>(
-                    static_cast<std::uint16_t>(kQuantLeafThr)),
-                0);
-        } else {
-            const std::int16_t qt = quantizeThreshold(
-                _quant[static_cast<std::size_t>(nd.feature)],
-                nd.threshold);
-            _qnodes[i] = packQuantNode(
-                (static_cast<std::int32_t>(nd.feature) << 16) |
-                    static_cast<std::int32_t>(
-                        static_cast<std::uint16_t>(qt)),
-                nd.offset);
-        }
-    }
-}
-
-void
-FlatForest::setSimdMode(SimdMode m)
-{
-    _mode = m;
-    _path = resolveSimdPath(m);
-}
-
 std::size_t
 FlatForest::arenaMisalignment() const
 {
-    const auto mis = [](const void *p) {
-        return static_cast<std::size_t>(
-            reinterpret_cast<std::uintptr_t>(p) % kCacheLineBytes);
-    };
-    return mis(_nodes.data()) | mis(_qnodes.data());
+    return static_cast<std::size_t>(
+        reinterpret_cast<std::uintptr_t>(_nodes.data()) % kCacheLineBytes);
 }
 
 FlatForest
@@ -281,8 +114,6 @@ FlatForest::compile(const RandomForest &rf)
     for (const auto &tree : rf.trees())
         ff.appendTree(tree.nodes());
     ff.finalizeWalkOrder();
-    ff.buildQuantTables();
-    ff._arenaId = nextArenaId();
     return ff;
 }
 
@@ -293,148 +124,7 @@ FlatForest::compile(const DecisionTree &tree)
     FlatForest ff;
     ff.appendTree(tree.nodes());
     ff.finalizeWalkOrder();
-    ff.buildQuantTables();
-    ff._arenaId = nextArenaId();
     return ff;
-}
-
-FlatForest
-FlatForest::specialize(std::span<const double> fixed) const
-{
-    GPUPM_ASSERT(compiled(), "specialize on an uncompiled FlatForest");
-    const Node *const nodes = _nodes.data();
-    const std::int64_t *const qnodes = _qnodes.data();
-    const double *const fv = fixed.data();
-    const auto nf = static_cast<std::int16_t>(fixed.size());
-
-    // In a quantized mode the fixed edges must contract exactly the
-    // way the quantized walk would take them, so the residual forest
-    // agrees with the unspecialized quantized walk bit for bit; the
-    // float path keeps the float comparisons for the same reason.
-    const bool quantized = _path != SimdPath::Float64;
-    std::array<std::int16_t, numFeatures> qfix{};
-    if (quantized)
-        for (std::int16_t f = 0; f < nf; ++f)
-            qfix[static_cast<std::size_t>(f)] = quantizeFeature(
-                _quant[static_cast<std::size_t>(f)], fv[f]);
-
-    // Follow decided (fixed-feature) edges until a surviving split or
-    // a leaf. Leaves encode feature 0 / threshold +inf (quantized:
-    // kQuantLeafThr), so they stop on the offset test regardless of nf.
-    // The chains dominate specialize() and are cache-miss bound on the
-    // parent arena, so the quantized variant reads only the packed
-    // 8-byte records (offset, feature and threshold all live in one
-    // word) instead of pulling the 16-byte float node alongside.
-    const auto unf = static_cast<std::uint32_t>(fixed.size());
-    const auto resolveQ = [&](std::uint32_t i) {
-        for (;;) {
-            const auto rec = static_cast<std::uint64_t>(qnodes[i]);
-            const auto off = static_cast<std::uint32_t>(rec >> 32);
-            const auto feat =
-                static_cast<std::uint32_t>((rec >> 16) & 0xffffu);
-            if (off == 0 || feat >= unf)
-                return i;
-            const auto qt = static_cast<std::int32_t>(
-                static_cast<std::int16_t>(
-                    static_cast<std::uint16_t>(rec)));
-            i += off + (qfix[feat] > qt ? 1u : 0u);
-        }
-    };
-    const auto resolveF = [&](std::uint32_t i) {
-        for (;;) {
-            const Node &nd = nodes[i];
-            if (nd.offset == 0 || nd.feature >= nf)
-                return i;
-            i += static_cast<std::uint32_t>(nd.offset) +
-                 (fv[nd.feature] > nd.threshold ? 1u : 0u);
-        }
-    };
-    const auto resolve = [&](std::uint32_t i) {
-        return quantized ? resolveQ(i) : resolveF(i);
-    };
-
-    FlatForest out;
-    out._roots.reserve(_roots.size());
-    out._depths.reserve(_roots.size());
-    // The residual inherits the parent's quantizers and, below, the
-    // parent's packed thresholds verbatim: surviving splits compare
-    // exactly as they would inside the parent arena.
-    out._quant = _quant;
-    out._qlo = _qlo;
-    out._qinv = _qinv;
-    out._mode = _mode;
-    out._path = _path;
-
-    // Residuals are typically ~2% of the parent (a specialize() call
-    // only pays off when the prefix decides most splits), so a small
-    // up-front reservation removes every growth copy on the hot path
-    // without committing parent-sized allocations.
-    const std::size_t hint =
-        std::min<std::size_t>(_nodes.size(), 2048);
-    out._nodes.reserve(hint);
-    out._qnodes.reserve(hint);
-    out._leafIdx.reserve(hint);
-    out._leafValue.reserve(hint / 2 + 1);
-
-    // Same breadth-first emission as appendTree, but over the resolved
-    // subgraph of this arena. order[] holds source arena indices whose
-    // splits survive; leaf values are copied so the residual forest is
-    // self-contained.
-    std::vector<std::uint32_t> order;
-    std::vector<std::uint16_t> level;
-    order.reserve(512);
-    level.reserve(512);
-    for (const std::uint32_t root : _roots) {
-        out._roots.push_back(static_cast<std::uint32_t>(out._nodes.size()));
-        order.clear();
-        level.clear();
-        order.push_back(resolve(root));
-        level.push_back(0);
-        std::uint16_t depth = 0;
-        for (std::size_t slot = 0; slot < order.size(); ++slot) {
-            const Node &nd = nodes[order[slot]];
-            depth = std::max(depth, level[slot]);
-            Node packed;
-            if (nd.offset != 0) {
-                const std::size_t left_slot = order.size();
-                const std::uint32_t left =
-                    order[slot] + static_cast<std::uint32_t>(nd.offset);
-                order.push_back(resolve(left));
-                order.push_back(resolve(left + 1));
-                level.push_back(
-                    static_cast<std::uint16_t>(level[slot] + 1));
-                level.push_back(
-                    static_cast<std::uint16_t>(level[slot] + 1));
-                packed.threshold = nd.threshold;
-                packed.offset =
-                    static_cast<std::int32_t>(left_slot - slot);
-                packed.feature = nd.feature;
-                out._leafIdx.push_back(-1);
-                out._qnodes.push_back(packQuantNode(
-                    (static_cast<std::int32_t>(nd.feature) << 16) |
-                        (quantMeta(qnodes[order[slot]]) & 0xffff),
-                    packed.offset));
-            } else {
-                packed.threshold =
-                    std::numeric_limits<double>::infinity();
-                packed.offset = 0;
-                packed.feature = 0;
-                out._leafIdx.push_back(
-                    static_cast<std::int32_t>(out._leafValue.size()));
-                out._leafValue.push_back(
-                    _leafValue[_leafIdx[order[slot]]]);
-                out._qnodes.push_back(packQuantNode(
-                    static_cast<std::int32_t>(
-                        static_cast<std::uint16_t>(kQuantLeafThr)),
-                    0));
-            }
-            out._nodes.push_back(packed);
-        }
-        out._depths.push_back(depth);
-    }
-    out.finalizeWalkOrder();
-    out._arenaId = nextArenaId();
-    return out;
 }
 
 namespace {
@@ -500,107 +190,7 @@ walk(const NodeT *nodes, std::uint32_t (&idx)[W],
     }(std::make_index_sequence<W>{});
 }
 
-/**
- * One quantized traversal step - the portable twin of the AVX2
- * kernel's qstep8 (flat_forest_avx2.cpp): one 8-byte record load,
- * the same sign-extensions and the same exact integer arithmetic, so
- * the two paths agree bit for bit on every walk.
- */
-[[gnu::always_inline]] inline std::uint32_t
-qstep(const std::int64_t *qnodes, std::uint32_t i,
-      const std::int16_t *qrow)
-{
-    const auto rec = static_cast<std::uint64_t>(qnodes[i]);
-    // Sign-extend the packed low half: the leaf sentinel stays 32767
-    // (above every quantized feature value), real thresholds live in
-    // [-kQuantBias, kQuantBias].
-    const auto qt = static_cast<std::int32_t>(
-        static_cast<std::int16_t>(static_cast<std::uint16_t>(rec)));
-    const auto feat =
-        static_cast<std::uint32_t>((rec >> 16) & 0xffffu);
-    const auto off = static_cast<std::uint32_t>(rec >> 32);
-    return i + off +
-           (static_cast<std::int32_t>(qrow[feat]) > qt ? 1u : 0u);
-}
-
-/**
- * Quantized twin of walk<W>: W interleaved fixed-point walkers, with
- * a convergence early exit. row(I) supplies walker I's quantized row
- * base - a compile-time-constant displacement in both call sites, so
- * the only live per-walker state is the index itself.
- *
- * An internal node's child offset is strictly positive and a leaf's
- * is zero, so a walker that does not move took a self-loop; when one
- * whole round moves nobody, every walker has parked and the remaining
- * depth budget would be all no-ops. The check runs every fourth round
- * (one OR-tree and a predictable branch) and the loop never walks
- * past `depth` either way, so the walk costs min(depth, converged
- * round rounded up to 4) steps: mean leaf depth in a trained forest
- * sits well below the tree's maximum depth, and the group stops at
- * its slowest member instead of the depth budget.
- */
-template <std::size_t W, typename RowFn>
-[[gnu::always_inline]] inline void
-qwalk(const std::int64_t *qnodes, std::uint32_t (&idx)[W], RowFn row,
-      std::uint16_t depth)
-{
-    [&]<std::size_t... I>(std::index_sequence<I...>)
-        __attribute__((always_inline)) {
-        std::uint16_t d = 0;
-        for (; d + 4 <= depth; d += 4) {
-            for (std::uint16_t k = 1; k < 4; ++k)
-                ((idx[I] = qstep(qnodes, idx[I], row(I))), ...);
-            std::uint32_t moved = 0;
-            (([&]() __attribute__((always_inline)) {
-                 const std::uint32_t next =
-                     qstep(qnodes, idx[I], row(I));
-                 moved |= next ^ idx[I];
-                 idx[I] = next;
-             }()),
-             ...);
-            if (moved == 0)
-                return; // everyone parked: the tail is no-ops too
-        }
-        for (; d < depth; ++d)
-            ((idx[I] = qstep(qnodes, idx[I], row(I))), ...);
-    }(std::make_index_sequence<W>{});
-}
-
 } // namespace
-
-void
-FlatForest::quantizeRow(const double *f, std::int16_t *q) const
-{
-    for (std::size_t j = 0; j < static_cast<std::size_t>(numFeatures);
-         ++j)
-        q[j] = quantizeFeature(_quant[j], f[j]);
-    // Zero the stride padding: the AVX2 feature gather reads 32 bits
-    // at the last real slot, and defined padding keeps the row matrix
-    // reproducible for memory checkers.
-    for (std::size_t j = static_cast<std::size_t>(numFeatures);
-         j < kQuantRowStride; ++j)
-        q[j] = 0;
-}
-
-void
-FlatForest::quantizeRows(std::span<const FeatureVector> x,
-                         std::int16_t *rows) const
-{
-    const std::size_t n = x.size();
-    if (_path == SimdPath::FixedAvx2 && n > 0) {
-        static_assert(sizeof(FeatureVector) ==
-                          sizeof(double) *
-                              static_cast<std::size_t>(numFeatures),
-                      "feature rows must be densely packed");
-        detail::avx2QuantizeRows(
-            x[0].data(), static_cast<std::size_t>(numFeatures), n,
-            _qlo.data(), _qinv.data(), kQuantCells, kQuantBias, rows,
-            kQuantRowStride);
-        return;
-    }
-    for (std::size_t q = 0; q < n; ++q)
-        quantizeRow(x[q].data(), rows + q * kQuantRowStride);
-}
 
 void
 FlatForest::predictBatch(std::span<const FeatureVector> x,
@@ -612,12 +202,7 @@ FlatForest::predictBatch(std::span<const FeatureVector> x,
     const std::size_t n = x.size();
     trace::Span span(trace::Category::Ml, "ml.flatForest.predictBatch",
                      "queries", static_cast<double>(n));
-    addSimdRows(_path, n);
-
-    if (_path != SimdPath::Float64) {
-        predictBatchQuantized(x, out);
-        return;
-    }
+    g_rowsWalked.fetch_add(n, std::memory_order_relaxed);
 
     // Runs of contiguous rows with the same kernel prefix (one kernel's
     // configs; a batch may concatenate several kernels) take the
@@ -1072,300 +657,6 @@ FlatForest::predictRunShared(std::span<const FeatureVector> x,
         o[q] /= tc;
 }
 
-namespace {
-
-/** One cached residual: the quantized prefix it was built for. */
-struct ResidualEntry
-{
-    std::uint64_t arenaId = 0; ///< 0 marks an empty slot.
-    std::uint32_t prefixLen = 0;
-    std::uint64_t lastUse = 0;
-    std::array<std::int16_t, static_cast<std::size_t>(numFeatures)>
-        qprefix{};
-    FlatForest resid;
-};
-
-/** A prefix seen but not yet worth a specialize() call. */
-struct ResidualCandidate
-{
-    std::uint64_t arenaId = 0;
-    std::uint32_t prefixLen = 0;
-    std::uint32_t rowsSeen = 0;
-    std::array<std::int16_t, static_cast<std::size_t>(numFeatures)>
-        qprefix{};
-};
-
-/**
- * Thread-local residual cache. Four slots cover the working set of a
- * decision loop (a time and a power forest, with room for a swapped-in
- * pair during online retraining) without a map; entries are found by
- * arena id and evicted least-recently-used. Per-thread state means no
- * locks and no cross-thread coupling; results are bit-identical either
- * way, so determinism across thread counts is unaffected.
- */
-struct ResidualCacheTls
-{
-    std::array<ResidualEntry, 4> entries;
-    // One candidate per arena (a decision loop interleaves the time
-    // and the power forest, so a single shared slot would thrash and
-    // never accumulate confirmations).
-    std::array<ResidualCandidate, 4> cands;
-    std::uint64_t tick = 0;
-};
-
-ResidualCacheTls &
-residualCacheTls()
-{
-    static thread_local ResidualCacheTls tls;
-    return tls;
-}
-
-} // namespace
-
-const FlatForest *
-FlatForest::cachedResidual(const double *x0, const std::int16_t *rows,
-                           std::size_t n) const
-{
-    auto &tls = residualCacheTls();
-    ++tls.tick;
-
-    // Serve a built residual when every row of this call matches its
-    // fixed prefix (memcmp per row: the prefix is the row's leading
-    // int16s).
-    for (auto &e : tls.entries) {
-        if (e.arenaId != _arenaId)
-            continue;
-        bool match = true;
-        for (std::size_t q = 0; match && q < n; ++q)
-            match = std::memcmp(rows + q * kQuantRowStride,
-                                e.qprefix.data(),
-                                e.prefixLen * sizeof(std::int16_t)) == 0;
-        if (!match)
-            continue;
-        e.lastUse = tls.tick;
-        return &e.resid;
-    }
-
-    // Miss. Work out the prefix this call vouches for: the longest
-    // quantized prefix all rows share, or - for single-row calls,
-    // which cannot witness a shared prefix on their own - a match
-    // against this arena's candidate.
-    ResidualCandidate *c = nullptr;
-    for (auto &cc : tls.cands)
-        if (cc.arenaId == _arenaId) {
-            c = &cc;
-            break;
-        }
-    const auto nf = static_cast<std::uint32_t>(numFeatures);
-    std::uint32_t p = 0;
-    if (n >= 2) {
-        for (; p < nf; ++p) {
-            const std::int16_t v = rows[p];
-            std::size_t q = 1;
-            for (; q < n; ++q)
-                if (rows[q * kQuantRowStride + p] != v)
-                    break;
-            if (q < n)
-                break;
-        }
-    } else if (n == 1 && c != nullptr && c->prefixLen > 0 &&
-               std::memcmp(rows, c->qprefix.data(),
-                           c->prefixLen * sizeof(std::int16_t)) == 0) {
-        p = c->prefixLen;
-    }
-    if (p == 0)
-        return nullptr;
-
-    std::uint32_t build_len = 0;
-    if (n >= kBatchSpecializeMinRows) {
-        // A batch this size repays the specialize() by itself.
-        build_len = p;
-    } else if (c != nullptr && c->prefixLen > 0 && c->prefixLen <= p &&
-               std::memcmp(rows, c->qprefix.data(),
-                           c->prefixLen * sizeof(std::int16_t)) == 0) {
-        c->rowsSeen += static_cast<std::uint32_t>(n);
-        if (c->rowsSeen >= kResidualConfirmRows)
-            build_len = c->prefixLen;
-    } else if (n >= 2) {
-        if (c == nullptr) {
-            c = &tls.cands[0];
-            for (auto &cc : tls.cands)
-                if (cc.rowsSeen < c->rowsSeen)
-                    c = &cc;
-        }
-        c->arenaId = _arenaId;
-        c->prefixLen = p;
-        c->rowsSeen = static_cast<std::uint32_t>(n);
-        std::copy(rows, rows + p, c->qprefix.begin());
-        if (c->rowsSeen >= kResidualConfirmRows)
-            build_len = p;
-    }
-    if (build_len == 0)
-        return nullptr;
-
-    // Build and cache. The raw doubles of row 0 quantize to the
-    // matched prefix, so specializing on them fixes exactly the
-    // quantized values the cache key records.
-    ResidualEntry *victim = nullptr;
-    for (auto &e : tls.entries) {
-        if (e.arenaId == _arenaId) {
-            victim = &e;
-            break;
-        }
-        if (victim == nullptr || e.lastUse < victim->lastUse)
-            victim = &e;
-    }
-    victim->resid =
-        specialize(std::span<const double>(x0, build_len));
-    victim->arenaId = _arenaId;
-    victim->prefixLen = build_len;
-    std::copy(rows, rows + build_len, victim->qprefix.begin());
-    victim->lastUse = tls.tick;
-    if (c != nullptr)
-        *c = ResidualCandidate{};
-    return &victim->resid;
-}
-
-void
-FlatForest::predictBatchQuantized(std::span<const FeatureVector> x,
-                                  std::span<double> out) const
-{
-    const std::size_t n = x.size();
-
-    // One quantization pass per batch; every tree then gathers int16
-    // values from a dense 64-byte-aligned, 64-byte-strided row matrix.
-    // thread_local so the warm path never allocates.
-    thread_local AlignedVector<std::int16_t> qrow_buf;
-    qrow_buf.resize(n * kQuantRowStride);
-    std::int16_t *const rows = qrow_buf.data();
-    quantizeRows(x, rows);
-
-    // Full-size trees first consult the residual cache: a hit walks
-    // ~50x smaller trees that agree with this arena bit for bit on
-    // every row that matches the cached prefix (which the cache just
-    // checked). See cachedResidual() for the build policy.
-    if (n > 0 &&
-        _nodes.size() >= _roots.size() * kBatchSpecializeMinAvgNodes) {
-        if (const FlatForest *resid = cachedResidual(x[0].data(), rows, n)) {
-            if (n < 8) {
-                thread_local std::vector<double> resid_scratch;
-                resid_scratch.resize(resid->_roots.size());
-                for (std::size_t q = 0; q < n; ++q)
-                    out[q] = resid->predictOneQuantized(
-                        rows + q * kQuantRowStride, resid_scratch);
-            } else {
-                resid->predictBatchQuantizedRows(rows, n, out);
-            }
-            return;
-        }
-    }
-
-    if (n < 8) {
-        // Too few rows to interleave; interleave trees per row instead
-        // (the per-row walk keeps sixteen tree walkers busy, which
-        // beats a half-empty row group even though it re-streams the
-        // arena per row).
-        thread_local std::vector<double> leaf_scratch;
-        leaf_scratch.resize(_roots.size());
-        for (std::size_t q = 0; q < n; ++q)
-            out[q] = predictOneQuantized(rows + q * kQuantRowStride,
-                                         leaf_scratch);
-        return;
-    }
-
-    predictBatchQuantizedRows(rows, n, out);
-}
-
-void
-FlatForest::predictBatchQuantizedRows(const std::int16_t *rows,
-                                      std::size_t n,
-                                      std::span<double> out) const
-{
-    std::fill(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(n),
-              0.0);
-    const std::int64_t *const qnodes = _qnodes.data();
-    const std::int32_t *const leaf_idx = _leafIdx.data();
-    const double *const leaf = _leafValue.data();
-    const bool avx2 = _path == SimdPath::FixedAvx2;
-
-    // Tree-major like the float path; the AVX2 kernel and the portable
-    // 16-wide interleave run identical integer walks, and the tail
-    // handling is shared, so the two quantized paths are bit-identical.
-    // Sixteen walkers (vs the float path's eight) fit because the
-    // packed record halves the per-step loads and the shared row base
-    // keeps per-walker state down to the index itself.
-    for (std::size_t t = 0; t < _roots.size(); ++t) {
-        const std::uint32_t root = _roots[t];
-        const std::uint16_t depth = _depths[t];
-        std::size_t q = 0;
-        if (avx2) {
-            q = detail::avx2AccumTreeRows(qnodes, rows, kQuantRowStride,
-                                          n, root, depth, leaf_idx,
-                                          leaf, out.data());
-        } else {
-            for (; q + 16 <= n; q += 16) {
-                const std::int16_t *const base =
-                    rows + q * kQuantRowStride;
-                std::uint32_t idx[16];
-                for (std::size_t w = 0; w < 16; ++w)
-                    idx[w] = root;
-                qwalk(qnodes, idx,
-                      [&](std::size_t w) {
-                          return base + w * kQuantRowStride;
-                      },
-                      depth);
-                for (std::size_t w = 0; w < 16; ++w)
-                    out[q + w] += leaf[leaf_idx[idx[w]]];
-            }
-            for (; q + 8 <= n; q += 8) {
-                const std::int16_t *const base =
-                    rows + q * kQuantRowStride;
-                std::uint32_t idx[8];
-                for (std::size_t w = 0; w < 8; ++w)
-                    idx[w] = root;
-                qwalk(qnodes, idx,
-                      [&](std::size_t w) {
-                          return base + w * kQuantRowStride;
-                      },
-                      depth);
-                for (std::size_t w = 0; w < 8; ++w)
-                    out[q + w] += leaf[leaf_idx[idx[w]]];
-            }
-        }
-        // 2..7 leftover rows (or a 4..7-row batch, e.g. a hill climb's
-        // sensitivity probes): one 8-lane group with the spare lanes
-        // clamped to the last row and their results dropped. The tree's
-        // nodes are then streamed once for the whole group instead of
-        // once per row, and each live row's walk is the exact walk the
-        // scalar tail would have run.
-        if (const std::size_t r = n - q; r >= 2) {
-            const std::int16_t *rp[8];
-            for (std::size_t w = 0; w < 8; ++w)
-                rp[w] = rows + (q + (w < r ? w : r - 1)) *
-                                   kQuantRowStride;
-            std::uint32_t idx[8];
-            for (std::size_t w = 0; w < 8; ++w)
-                idx[w] = root;
-            qwalk(qnodes, idx, [&](std::size_t w) { return rp[w]; },
-                  depth);
-            for (std::size_t w = 0; w < r; ++w)
-                out[q + w] += leaf[leaf_idx[idx[w]]];
-            q = n;
-        }
-        for (; q < n; ++q) {
-            const std::int16_t *const qr = rows + q * kQuantRowStride;
-            std::uint32_t i = root;
-            for (std::uint16_t d = 0; d < depth; ++d)
-                i = qstep(qnodes, i, qr);
-            out[q] += leaf[leaf_idx[i]];
-        }
-    }
-
-    const auto trees = static_cast<double>(_roots.size());
-    for (std::size_t q = 0; q < n; ++q)
-        out[q] /= trees;
-}
-
 void
 FlatForest::predictTreeBatch(std::size_t tree,
                              std::span<const FeatureVector> x,
@@ -1453,121 +744,13 @@ FlatForest::predictOne(const FeatureVector &f,
 }
 
 double
-FlatForest::predictOneQuantized(const std::int16_t *qrow,
-                                std::span<double> leaf_scratch) const
-{
-    const std::int64_t *const qnodes = _qnodes.data();
-    const std::int32_t *const leaf_idx = _leafIdx.data();
-    const double *const leaf = _leafValue.data();
-    const std::uint32_t *const roots = _roots.data();
-    const std::uint16_t *const depths = _depths.data();
-    const std::uint32_t *const order = _walkOrder.data();
-    const std::size_t trees = _roots.size();
-    const bool avx2 = _path == SimdPath::FixedAvx2;
-
-    // Same depth-sorted tree grouping as predictOne, but 16 trees per
-    // group: all walkers share one row, so per-walker state is just
-    // the index. The AVX2 kernel takes the same 16-tree groups (two
-    // vectors in flight); grouping is free to differ from the portable
-    // path's because per-tree walks are independent and extra steps
-    // park on self-looping leaves, so the leaf values - and the
-    // tree-ordered sum below - stay bit-identical.
-    std::size_t g = 0;
-    if (avx2) {
-        std::uint32_t r[16];
-        std::uint32_t idx[16];
-        for (; g + 16 <= trees; g += 16) {
-            const std::uint16_t depth = depths[order[g + 15]];
-            for (std::size_t w = 0; w < 16; ++w)
-                r[w] = roots[order[g + w]];
-            detail::avx2WalkTrees(qnodes, qrow, r, 16, depth, idx);
-            for (std::size_t w = 0; w < 16; ++w)
-                leaf_scratch[order[g + w]] = leaf[leaf_idx[idx[w]]];
-        }
-        for (; g + 8 <= trees; g += 8) {
-            const std::uint16_t depth = depths[order[g + 7]];
-            for (std::size_t w = 0; w < 8; ++w)
-                r[w] = roots[order[g + w]];
-            detail::avx2WalkTrees(qnodes, qrow, r, 8, depth, idx);
-            for (std::size_t w = 0; w < 8; ++w)
-                leaf_scratch[order[g + w]] = leaf[leaf_idx[idx[w]]];
-        }
-        // 1..7 leftover trees: a padded 8-lane group (spare lanes
-        // replay the last tree, results dropped), mirroring the
-        // portable branch below.
-        if (const std::size_t rem = trees - g; rem > 0) {
-            const std::uint16_t depth = depths[order[trees - 1]];
-            for (std::size_t w = 0; w < 8; ++w)
-                r[w] = roots[order[g + (w < rem ? w : rem - 1)]];
-            detail::avx2WalkTrees(qnodes, qrow, r, 8, depth, idx);
-            for (std::size_t w = 0; w < rem; ++w)
-                leaf_scratch[order[g + w]] = leaf[leaf_idx[idx[w]]];
-            g = trees;
-        }
-    } else {
-        const auto shared_row = [&](std::size_t) { return qrow; };
-        for (; g + 16 <= trees; g += 16) {
-            std::uint32_t idx[16];
-            const std::uint16_t depth = depths[order[g + 15]];
-            for (std::size_t w = 0; w < 16; ++w)
-                idx[w] = roots[order[g + w]];
-            qwalk(qnodes, idx, shared_row, depth);
-            for (std::size_t w = 0; w < 16; ++w)
-                leaf_scratch[order[g + w]] = leaf[leaf_idx[idx[w]]];
-        }
-        // 1..15 leftover trees: one padded group (16- or 8-wide, spare
-        // lanes replay the last tree and are dropped) instead of a
-        // sequential per-tree walk - a lone walker is a ~12-cycle
-        // latency chain per step, so even mostly-padded groups beat
-        // walking two or three trees back to back.
-        if (const std::size_t r = trees - g; r > 0) {
-            const std::uint16_t depth = depths[order[trees - 1]];
-            std::uint32_t idx[16];
-            if (r > 8) {
-                for (std::size_t w = 0; w < 16; ++w)
-                    idx[w] =
-                        roots[order[g + (w < r ? w : r - 1)]];
-                qwalk(qnodes, idx, shared_row, depth);
-            } else {
-                for (std::size_t w = 0; w < 8; ++w)
-                    idx[w] =
-                        roots[order[g + (w < r ? w : r - 1)]];
-                std::uint32_t(&idx8)[8] =
-                    *reinterpret_cast<std::uint32_t(*)[8]>(idx);
-                qwalk(qnodes, idx8, shared_row, depth);
-            }
-            for (std::size_t w = 0; w < r; ++w)
-                leaf_scratch[order[g + w]] = leaf[leaf_idx[idx[w]]];
-            g = trees;
-        }
-    }
-    for (; g < trees; ++g) {
-        const std::uint32_t t = order[g];
-        std::uint32_t i = roots[t];
-        const std::uint16_t depth = depths[t];
-        for (std::uint16_t d = 0; d < depth; ++d)
-            i = qstep(qnodes, i, qrow);
-        leaf_scratch[t] = leaf[leaf_idx[i]];
-    }
-
-    double s = 0.0;
-    for (std::size_t k = 0; k < trees; ++k)
-        s += leaf_scratch[k];
-    return s / static_cast<double>(trees);
-}
-
-double
 FlatForest::predict(const FeatureVector &f) const
 {
     GPUPM_ASSERT(compiled(), "predict on an uncompiled FlatForest");
     thread_local std::vector<double> leaf_scratch;
     leaf_scratch.resize(_roots.size());
-    addSimdRows(_path, 1);
-    if (_path == SimdPath::Float64)
-        return predictOne(f, leaf_scratch);
-    alignas(kCacheLineBytes) std::int16_t qrow[kQuantRowStride];
-    quantizeRows(std::span<const FeatureVector>(&f, 1), qrow);
-    return predictOneQuantized(qrow, leaf_scratch);
+    g_rowsWalked.fetch_add(1, std::memory_order_relaxed);
+    return predictOne(f, leaf_scratch);
 }
 
 } // namespace gpupm::ml

@@ -1,97 +1,56 @@
 /**
  * @file
- * SIMD mode selection and runtime CPU dispatch for forest inference.
+ * Row-count and engine-name shim for the decision-serving benchmark.
  *
- * Three user-facing modes (the `--simd` flag / GPUPM_SIMD env var):
- *
- *  - `scalar`   - the float64 branchless engine from PR 2. The
- *                 bit-exactness oracle: predictions match the recursive
- *                 RandomForest::predict double for double, so this is
- *                 the default and what every golden-trace suite pins.
- *  - `avx2`     - the int16-quantized engine with the AVX2 gather
- *                 kernel. Demands AVX2; on hosts without it the request
- *                 degrades (with a one-time warning) to the portable
- *                 fixed-point fallback, which is bit-identical to the
- *                 AVX2 kernel by construction, so results never fork
- *                 per-ISA.
- *  - `auto`     - quantized engine on the best kernel the CPU has:
- *                 AVX2 when available, portable fixed-point otherwise.
- *
- * A fourth, test-facing mode `fallback` forces the portable
- * fixed-point kernel even on AVX2 hosts; the bit-identity suite runs
- * both and memcmps. The *resolved* execution path (SimdPath) is what
- * telemetry and the bench context report.
+ * perfbench/cpp/perfbench.cpp reads forest rows through simdRowStats()
+ * and stamps `toString(resolveSimdPath(defaultSimdMode()))` into its
+ * output as `simd_path`. FlatForest has one engine, the float64 walk,
+ * so every value here is fixed: one mode, one path named "scalar", and
+ * every row counted under `scalar`. Only perfbench and the row-counter
+ * test include this header; it goes once perfbench reads
+ * forestRowsWalked() (flat_forest.hpp) directly.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
+
+#include "ml/flat_forest.hpp"
 
 namespace gpupm::ml {
 
-/** Requested engine (flag/env value). */
-enum class SimdMode : std::uint8_t {
-    Scalar = 0, ///< Float64 oracle engine (default).
-    Auto,       ///< Quantized, best available kernel.
-    Avx2,       ///< Quantized, AVX2 kernel (degrades if unsupported).
-    Fallback,   ///< Quantized, portable kernel (testing / non-x86).
-};
+enum class SimdMode : std::uint8_t { Scalar };
+enum class SimdPath : std::uint8_t { Float64 };
 
-/** Resolved execution path after CPU-feature dispatch. */
-enum class SimdPath : std::uint8_t {
-    Float64 = 0,   ///< Scalar double comparisons (the oracle).
-    FixedPortable, ///< int16 fixed-point, scalar integer walk.
-    FixedAvx2,     ///< int16 fixed-point, AVX2 gather walk.
-};
+inline SimdMode
+defaultSimdMode()
+{
+    return SimdMode::Scalar;
+}
 
-inline constexpr std::size_t kSimdPathCount = 3;
+inline SimdPath
+resolveSimdPath(SimdMode)
+{
+    return SimdPath::Float64;
+}
 
-const char *toString(SimdMode m);
-const char *toString(SimdPath p);
-
-/** Parse a `--simd` value; nullopt on anything unrecognized. */
-std::optional<SimdMode> parseSimdMode(const std::string &s);
-
-/** True when this CPU executes AVX2 (runtime check, cached). */
-bool cpuSupportsAvx2();
-
-/**
- * Map a requested mode onto the path this host will actually run.
- * Requests for AVX2 on a host without it resolve to the portable
- * fixed-point kernel and log a one-time warning - never a crash, and
- * never silently different numbers (the two quantized kernels are
- * bit-identical).
- */
-SimdPath resolveSimdPath(SimdMode m);
-
-/**
- * Process-wide default mode: GPUPM_SIMD from the environment if set
- * (invalid values warn once and fall back to scalar), overridable via
- * setDefaultSimdMode (the `--simd` flags call it before any forest is
- * compiled). TrainerOptions::simd and model loading default to this.
- */
-SimdMode defaultSimdMode();
-void setDefaultSimdMode(SimdMode m);
-
-/**
- * Per-path row counters: every FlatForest prediction bumps the counter
- * of the path that evaluated it, so fleet metrics show which kernel
- * actually ran (a `--simd=avx2` request that degraded to the portable
- * fallback is visible as rows under `fallback`, not `avx2`).
- * Relaxed atomics - the counters are diagnostics, not synchronization.
- */
-void addSimdRows(SimdPath p, std::uint64_t rows);
+inline const char *
+toString(SimdPath)
+{
+    return "scalar";
+}
 
 struct SimdRowStats
 {
-    std::uint64_t scalar = 0;   ///< Rows through the float64 path.
-    std::uint64_t fallback = 0; ///< Rows through portable fixed-point.
-    std::uint64_t avx2 = 0;     ///< Rows through the AVX2 kernel.
+    std::uint64_t scalar = 0;   ///< forestRowsWalked().
+    std::uint64_t fallback = 0; ///< Always 0.
+    std::uint64_t avx2 = 0;     ///< Always 0.
 };
 
-/** Snapshot of the process-lifetime per-path row counters. */
-SimdRowStats simdRowStats();
+inline SimdRowStats
+simdRowStats()
+{
+    return {forestRowsWalked(), 0, 0};
+}
 
 } // namespace gpupm::ml

@@ -30,17 +30,14 @@ nextPredictorInstanceId()
 } // namespace
 
 RandomForestPredictor::RandomForestPredictor(RandomForest time_forest,
-                                             RandomForest power_forest,
-                                             SimdMode simd)
+                                             RandomForest power_forest)
     : _time(std::move(time_forest)), _power(std::move(power_forest)),
       _timeFlat(FlatForest::compile(_time)),
-      _powerFlat(FlatForest::compile(_power)), _simd(simd),
+      _powerFlat(FlatForest::compile(_power)),
       _instanceId(nextPredictorInstanceId())
 {
     GPUPM_ASSERT(_time.fitted() && _power.fitted(),
                  "predictor needs fitted forests");
-    _timeFlat.setSimdMode(simd);
-    _powerFlat.setSimdMode(simd);
 }
 
 Prediction
@@ -143,11 +140,9 @@ RandomForestPredictor::predictBatch(const PredictionQuery &q,
     if (!entry) {
         // Cold single query (n >= 2 always claims the entry). Routed
         // through the flat engines - not the scalar recursive walk -
-        // so the answer comes from the *same* engine (and, in a
-        // quantized mode, the same rounding) as the batched paths:
-        // a prediction must be a pure function of (counters, config,
-        // mode), never of cache state. Bit-identical to the recursive
-        // walk in scalar mode.
+        // like the batched paths, and bit-identical to the recursive
+        // walk: a prediction is a pure function of (counters, config),
+        // never of cache state.
         const auto kf = makeKernelFeatures(q.counters);
         for (std::size_t i = 0; i < n; ++i) {
             const auto f = combineFeatures(kf, configFeatures(cs[i]));
@@ -283,7 +278,7 @@ trainRandomForestPredictor(const TrainerOptions &opts,
     }
 
     return std::make_unique<RandomForestPredictor>(
-        std::move(time_forest), std::move(power_forest), opts.simd);
+        std::move(time_forest), std::move(power_forest));
 }
 
 EvalReport

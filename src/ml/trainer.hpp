@@ -42,15 +42,8 @@ double instructionProxy(const kernel::KernelCounters &c);
 class RandomForestPredictor : public PerfPowerPredictor
 {
   public:
-    /**
-     * @param simd Inference engine for both compiled forests (see
-     * simd.hpp). Fixed for the predictor's lifetime so per-kernel
-     * memo caches and residual caches never mix engines;
-     * online refits propagate the serving generation's mode.
-     */
     RandomForestPredictor(RandomForest time_forest,
-                          RandomForest power_forest,
-                          SimdMode simd = defaultSimdMode());
+                          RandomForest power_forest);
 
     Prediction predict(const PredictionQuery &q,
                        const hw::HwConfig &c) const override;
@@ -87,11 +80,6 @@ class RandomForestPredictor : public PerfPowerPredictor
     const FlatForest &timeFlat() const { return _timeFlat; }
     const FlatForest &powerFlat() const { return _powerFlat; }
 
-    /** Requested inference engine (construction-time, immutable). */
-    SimdMode simdMode() const { return _simd; }
-    /** The execution path the mode resolved to on this host. */
-    SimdPath simdPath() const { return _timeFlat.simdPath(); }
-
     /**
      * Process-unique identity of this predictor instance. Caches keyed
      * on the predictor (the per-thread kernel memo) must use
@@ -106,7 +94,6 @@ class RandomForestPredictor : public PerfPowerPredictor
     RandomForest _power;
     FlatForest _timeFlat;
     FlatForest _powerFlat;
-    SimdMode _simd;
     std::uint64_t _instanceId;
 };
 
@@ -128,13 +115,6 @@ struct TrainerOptions
      * sums reduce in tree order (see ForestOptions::jobs).
      */
     std::size_t jobs = 1;
-    /**
-     * Inference engine for the trained predictor (`--simd` flag /
-     * GPUPM_SIMD env; see simd.hpp). Training itself - splits, OOB
-     * accumulation - always runs the float path; this only selects
-     * how the resulting predictor evaluates.
-     */
-    SimdMode simd = defaultSimdMode();
     ForestOptions forest = ForestOptions::regressionDefaults();
 };
 

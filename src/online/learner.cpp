@@ -163,16 +163,8 @@ OnlineLearner::retrain(std::uint64_t trigger_ordinal,
     time_forest.fit(time_data, time_opts);
     power_forest.fit(power_data, power_opts);
 
-    // The refit carries the serving generation's inference engine
-    // forward: a fleet running the quantized AVX2 path must not
-    // silently swap to a scalar-float predictor (or vice versa) just
-    // because the learner rebuilt the forests.
-    const auto cur = _handle.acquire();
-    const ml::SimdMode simd = cur && cur->predictor
-                                  ? cur->predictor->simdMode()
-                                  : ml::defaultSimdMode();
     auto next = std::make_shared<const ml::RandomForestPredictor>(
-        std::move(time_forest), std::move(power_forest), simd);
+        std::move(time_forest), std::move(power_forest));
     const std::uint64_t gen = _handle.publish(std::move(next));
     trace::Tracer::emit(trace::Category::Online, "online.swap",
                         trace::Tracer::nowNs(), 0, "generation",

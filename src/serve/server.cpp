@@ -10,7 +10,7 @@
 #include "common/logging.hpp"
 #include "exec/sweep.hpp"
 #include "exec/thread_pool.hpp"
-#include "ml/simd.hpp"
+#include "ml/flat_forest.hpp"
 #include "trace/trace.hpp"
 #include "workload/benchmarks.hpp"
 #include "workload/training.hpp"
@@ -355,7 +355,7 @@ runFleet(std::shared_ptr<const ml::PerfPowerPredictor> predictor,
             }
         };
 
-    const auto simd0 = ml::simdRowStats();
+    const std::uint64_t rows0 = ml::forestRowsWalked();
     const auto t0 = std::chrono::steady_clock::now();
     for (const SessionId id : ids)
         server.submit({id, on_done, {}});
@@ -375,16 +375,11 @@ runFleet(std::shared_ptr<const ml::PerfPowerPredictor> predictor,
         out.online = learner->stats();
         out.forestGeneration = handle->ordinal();
     }
-    // Fold this run's forest-row deltas into the registry so the
-    // metrics snapshot says which inference engine actually served the
-    // fleet (the process-wide stats also cover other predictors; the
-    // delta across the run is what this fleet evaluated).
-    const auto simd1 = ml::simdRowStats();
-    auto &telem = server.telemetry();
-    telem.counter("ml.rows_scalar").add(simd1.scalar - simd0.scalar);
-    telem.counter("ml.rows_fallback")
-        .add(simd1.fallback - simd0.fallback);
-    telem.counter("ml.rows_avx2").add(simd1.avx2 - simd0.avx2);
+    // Fold this run's forest-row delta into the registry (the
+    // process-wide count also covers other predictors; the delta
+    // across the run is what this fleet evaluated).
+    server.telemetry().counter("ml.rows").add(ml::forestRowsWalked() -
+                                              rows0);
     out.metrics = server.metrics();
     if (const auto *arbiter = server.capArbiter()) {
         out.capViolations = arbiter->violations();

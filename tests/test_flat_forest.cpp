@@ -3,9 +3,9 @@
  * Property tests for the flat batched inference engine: on any fitted
  * forest, FlatForest must be bit-identical to the scalar
  * RandomForest::predict reference - same doubles out, not merely
- * close - across batch shapes, save/load round trips, and partial
- * evaluation. Randomized forests and queries (fixed seeds) probe the
- * space of tree shapes a fitted model can take.
+ * close - across batch shapes, save/load round trips and the
+ * shared-prefix walk. Randomized forests and queries (fixed seeds)
+ * probe the space of tree shapes a fitted model can take.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +27,7 @@
 #include "ml/features.hpp"
 #include "ml/flat_forest.hpp"
 #include "ml/random_forest.hpp"
+#include "ml/simd.hpp"
 #include "ml/trainer.hpp"
 #include "workload/training.hpp"
 
@@ -138,35 +139,6 @@ TEST(FlatForest, SaveLoadCompileRoundTrip)
         EXPECT_TRUE(bitEqual(ff.predict(q), ff2.predict(q)));
 }
 
-TEST(FlatForest, SpecializeBitIdenticalForMatchingPrefix)
-{
-    const auto rf = randomForest(1234, 10);
-    const auto ff = FlatForest::compile(rf);
-    Pcg32 rng(555);
-    for (int round = 0; round < 4; ++round) {
-        std::vector<double> prefix(numKernelFeatures);
-        for (auto &x : prefix)
-            x = rng.uniform(-6.0, 14.0);
-        const auto resid = ff.specialize(prefix);
-        // Contracting the fixed-feature splits can only shrink a tree.
-        EXPECT_EQ(resid.treeCount(), ff.treeCount());
-        EXPECT_LE(resid.nodeCount(), ff.nodeCount());
-
-        auto qs = randomQueries(48, 556 + round);
-        for (auto &q : qs)
-            for (int k = 0; k < numKernelFeatures; ++k)
-                q[static_cast<std::size_t>(k)] =
-                    prefix[static_cast<std::size_t>(k)];
-        std::vector<double> a(qs.size()), b(qs.size());
-        ff.predictBatch(qs, a);
-        resid.predictBatch(qs, b);
-        for (std::size_t i = 0; i < qs.size(); ++i) {
-            EXPECT_TRUE(bitEqual(a[i], b[i]));
-            EXPECT_TRUE(bitEqual(b[i], rf.predict(qs[i])));
-        }
-    }
-}
-
 /**
  * End-to-end: the predictor's batched path (per-kernel prediction
  * memo, shared-prefix walk of the misses) must reproduce the
@@ -266,453 +238,44 @@ TEST(FlatForest, OobMapeOnLoadedForestIsNanNotCrash)
     EXPECT_TRUE(std::isnan(loaded.oobMape(d)));
 }
 
-// ---------------------------------------------------------------------
-// Quantized engine (SimdMode::Auto / Avx2 / Fallback).
-
-/**
- * Independent quantized oracle: walk the *training* tree
- * representation with the flat forest's own quantizers. Exercises
- * none of the arena packing, SoA mirrors or SIMD kernels, so
- * agreement with FlatForest pins the whole quantized pipeline.
- */
-double
-quantReference(const RandomForest &rf, const FlatForest &ff,
-               const FeatureVector &q)
-{
-    std::array<std::int16_t, numFeatures> qx{};
-    for (std::size_t j = 0; j < static_cast<std::size_t>(numFeatures);
-         ++j)
-        qx[j] = FlatForest::quantizeFeature(ff.quantizer(j), q[j]);
-
-    double s = 0.0;
-    for (const auto &tree : rf.trees()) {
-        const auto &nodes = tree.nodes();
-        std::size_t i = 0;
-        while (nodes[i].feature >= 0) {
-            const auto &n = nodes[i];
-            const auto f = static_cast<std::size_t>(n.feature);
-            const std::int16_t qt = FlatForest::quantizeThreshold(
-                ff.quantizer(f), n.threshold);
-            i = static_cast<std::size_t>(qx[f] > qt ? n.right : n.left);
-        }
-        s += nodes[i].value;
-    }
-    return s / static_cast<double>(rf.treeCount());
-}
-
-/** Queries seeded with every nasty double the extractor could emit. */
-std::vector<FeatureVector>
-hostileQueries(std::uint64_t seed)
-{
-    auto qs = randomQueries(40, seed);
-    Pcg32 rng(seed ^ 0xfeedULL);
-    const double specials[] = {
-        std::numeric_limits<double>::quiet_NaN(),
-        std::numeric_limits<double>::infinity(),
-        -std::numeric_limits<double>::infinity(),
-        std::numeric_limits<double>::denorm_min(),
-        -std::numeric_limits<double>::denorm_min(),
-        std::numeric_limits<double>::min(),
-        std::numeric_limits<double>::max(),
-        -std::numeric_limits<double>::max(),
-        1e300,
-        -1e300,
-        -0.0,
-        0.0,
-    };
-    for (auto &q : qs) {
-        // One to four special values per query, the rest in-range.
-        const int k = 1 + static_cast<int>(rng.nextU32() % 4u);
-        for (int j = 0; j < k; ++j)
-            q[rng.nextU32() % static_cast<std::uint32_t>(numFeatures)] =
-                specials[rng.nextU32() % std::size(specials)];
-    }
-    return qs;
-}
-
-TEST(FlatForest, QuantizedMatchesIndependentReferenceWalk)
-{
-    for (std::uint64_t seed = 11; seed <= 14; ++seed) {
-        const auto rf = randomForest(seed);
-        auto ff = FlatForest::compile(rf);
-        ff.setSimdMode(SimdMode::Auto);
-        const auto qs = randomQueries(96, seed * 17);
-        std::vector<double> out(qs.size());
-        ff.predictBatch(qs, out);
-        for (std::size_t i = 0; i < qs.size(); ++i) {
-            EXPECT_TRUE(bitEqual(out[i], quantReference(rf, ff, qs[i])));
-            EXPECT_TRUE(bitEqual(ff.predict(qs[i]), out[i]));
-        }
-    }
-}
-
-TEST(FlatForest, QuantizedFallbackAndAvx2BitIdentical)
-{
-    if (!cpuSupportsAvx2())
-        GTEST_SKIP() << "host lacks AVX2";
-    for (std::uint64_t seed = 21; seed <= 24; ++seed) {
-        const auto rf = randomForest(seed);
-        auto avx = FlatForest::compile(rf);
-        auto fb = FlatForest::compile(rf);
-        avx.setSimdMode(SimdMode::Avx2);
-        fb.setSimdMode(SimdMode::Fallback);
-        ASSERT_EQ(avx.simdPath(), SimdPath::FixedAvx2);
-        ASSERT_EQ(fb.simdPath(), SimdPath::FixedPortable);
-        // Hostile values included: the two kernels must agree on every
-        // representable input, not just friendly ones. Batch sizes
-        // cover the 8-trees-per-query, 16-tree AVX2 grouping, the
-        // tree-major rows kernel, and the scalar row tail.
-        for (std::size_t n : {1u, 5u, 9u, 40u, 336u}) {
-            auto qs = hostileQueries(seed * 7 + n);
-            qs.resize(n, qs[0]);
-            std::vector<double> a(n), b(n);
-            avx.predictBatch(qs, a);
-            fb.predictBatch(qs, b);
-            for (std::size_t i = 0; i < n; ++i)
-                EXPECT_TRUE(bitEqual(a[i], b[i]));
-        }
-    }
-}
-
-/**
- * The vectorized row quantizer must agree with quantizeFeature on
- * every element - every slot of every row, including the NaN
- * sentinel, never-split features, saturated non-finite values and the
- * zeroed stride padding - across batch sizes that exercise the
- * 8-wide loop, the 4-wide step and the scalar remainder.
- */
-TEST(FlatForest, QuantizeRowsAvx2BitIdenticalToScalar)
-{
-    if (!cpuSupportsAvx2())
-        GTEST_SKIP() << "host lacks AVX2";
-    for (std::uint64_t seed = 61; seed <= 64; ++seed) {
-        const auto rf = randomForest(seed);
-        auto ff = FlatForest::compile(rf);
-        ff.setSimdMode(SimdMode::Avx2);
-        ASSERT_EQ(ff.simdPath(), SimdPath::FixedAvx2);
-        for (std::size_t n : {1u, 3u, 8u, 33u}) {
-            auto qs = hostileQueries(seed * 131 + n);
-            qs.resize(n, qs[0]);
-            constexpr std::size_t stride =
-                FlatForest::kQuantRowStride;
-            std::vector<std::int16_t> rows(n * stride, 17);
-            ff.quantizeRows(qs, rows.data());
-            for (std::size_t r = 0; r < n; ++r) {
-                for (std::size_t j = 0;
-                     j < static_cast<std::size_t>(numFeatures); ++j)
-                    EXPECT_EQ(rows[r * stride + j],
-                              FlatForest::quantizeFeature(
-                                  ff.quantizer(j), qs[r][j]))
-                        << "row " << r << " feature " << j;
-                for (std::size_t j =
-                         static_cast<std::size_t>(numFeatures);
-                     j < stride; ++j)
-                    EXPECT_EQ(rows[r * stride + j], 0)
-                        << "row " << r << " padding slot " << j;
-            }
-        }
-    }
-}
-
-TEST(FlatForest, QuantizedHandlesNonFiniteAndDenormalFeatures)
-{
-    const auto rf = randomForest(77);
-    auto ff = FlatForest::compile(rf);
-    ff.setSimdMode(SimdMode::Auto);
-    const auto qs = hostileQueries(0x9d);
-    std::vector<double> out(qs.size());
-    ff.predictBatch(qs, out);
-    for (std::size_t i = 0; i < qs.size(); ++i) {
-        // Any double in, a real leaf mean out - and exactly the one
-        // the independent quantized oracle produces.
-        EXPECT_TRUE(std::isfinite(out[i]));
-        EXPECT_TRUE(bitEqual(out[i], quantReference(rf, ff, qs[i])));
-    }
-}
-
-TEST(FlatForest, QuantizeFeatureSaturatesAtInt16Edges)
-{
-    // Span 10 starting at 2: one cell is 10/32000.
-    const FlatForest::FeatureQuantizer qz{
-        2.0, FlatForest::kQuantCells / 10.0};
-    const auto q = [&](double x) {
-        return FlatForest::quantizeFeature(qz, x);
-    };
-    constexpr std::int16_t bias = FlatForest::kQuantBias;
-    // Grid interior maps affinely...
-    EXPECT_EQ(q(2.0), -bias);
-    EXPECT_EQ(q(12.0), bias);
-    EXPECT_EQ(q(7.0), 0);
-    // ...and everything beyond saturates one cell outside the grid,
-    // below every threshold on the low side and above every real
-    // threshold (but never the leaf sentinel) on the high side.
-    EXPECT_EQ(q(-1e308), -bias - 1);
-    EXPECT_EQ(q(-std::numeric_limits<double>::infinity()), -bias - 1);
-    EXPECT_EQ(q(1e308), bias + 1);
-    EXPECT_EQ(q(std::numeric_limits<double>::infinity()), bias + 1);
-    EXPECT_LT(bias + 1, FlatForest::kQuantLeafThr);
-    // NaN parks at INT16_MIN: always left, like `NaN > t` in float.
-    EXPECT_EQ(q(std::numeric_limits<double>::quiet_NaN()),
-              std::numeric_limits<std::int16_t>::min());
-    // Denormals behave as the tiny numbers they are.
-    EXPECT_EQ(q(std::numeric_limits<double>::denorm_min()), q(0.0));
-    // Thresholds clamp *into* the grid so features can exceed them.
-    EXPECT_EQ(FlatForest::quantizeThreshold(qz, -1e308), -bias);
-    EXPECT_EQ(FlatForest::quantizeThreshold(qz, 1e308), bias);
-    // Inactive features (no split anywhere) pin to a single cell.
-    const FlatForest::FeatureQuantizer off{0.0, 0.0};
-    EXPECT_EQ(FlatForest::quantizeFeature(off, 123.0), 0);
-    EXPECT_EQ(FlatForest::quantizeFeature(off, -123.0), 0);
-}
-
-/**
- * The pinned quantization-error model: a quantized tree's answer may
- * deviate from the float oracle's only if the float walk passed
- * within one quantization cell (1/32000 of that feature's threshold
- * span) of some threshold - and the aggregate forest error stays
- * small because such near-threshold passes are rare.
- */
-TEST(FlatForest, QuantizedErrorWithinPinnedBound)
-{
-    std::size_t flipped_trees = 0, total_trees = 0;
-    double max_rel_err = 0.0;
-    for (std::uint64_t seed = 31; seed <= 36; ++seed) {
-        const auto rf = randomForest(seed);
-        auto ff = FlatForest::compile(rf);
-        ff.setSimdMode(SimdMode::Auto);
-        for (const auto &q : randomQueries(128, seed * 13)) {
-            double scalar_sum = 0.0, quant_sum = 0.0;
-            for (const auto &tree : rf.trees()) {
-                const auto &nodes = tree.nodes();
-                // Float walk, tracking the closest approach to any
-                // threshold in units of that feature's cell width.
-                double min_margin_cells =
-                    std::numeric_limits<double>::infinity();
-                std::size_t i = 0;
-                while (nodes[i].feature >= 0) {
-                    const auto &n = nodes[i];
-                    const auto f = static_cast<std::size_t>(n.feature);
-                    min_margin_cells = std::min(
-                        min_margin_cells,
-                        std::abs(q[f] - n.threshold) *
-                            ff.quantizer(f).inv);
-                    i = static_cast<std::size_t>(
-                        q[f] > n.threshold ? n.right : n.left);
-                }
-                const double scalar_leaf = nodes[i].value;
-
-                // Quantized walk on the same tree.
-                std::size_t j = 0;
-                while (nodes[j].feature >= 0) {
-                    const auto &n = nodes[j];
-                    const auto f = static_cast<std::size_t>(n.feature);
-                    const auto qx = FlatForest::quantizeFeature(
-                        ff.quantizer(f), q[f]);
-                    const auto qt = FlatForest::quantizeThreshold(
-                        ff.quantizer(f), n.threshold);
-                    j = static_cast<std::size_t>(qx > qt ? n.right
-                                                         : n.left);
-                }
-                const double quant_leaf = nodes[j].value;
-
-                ++total_trees;
-                if (!bitEqual(scalar_leaf, quant_leaf)) {
-                    ++flipped_trees;
-                    // The pinned bound: deviation implies a
-                    // within-one-cell pass (plus float slop).
-                    EXPECT_LE(min_margin_cells, 1.0 + 1e-6)
-                        << "tree deviated without a near-threshold "
-                           "pass (seed "
-                        << seed << ")";
-                }
-                scalar_sum += scalar_leaf;
-                quant_sum += quant_leaf;
-            }
-            const double scalar_pred =
-                scalar_sum / static_cast<double>(rf.treeCount());
-            const double quant_pred =
-                quant_sum / static_cast<double>(rf.treeCount());
-            // And the engine agrees with the per-tree replay above.
-            EXPECT_TRUE(bitEqual(ff.predict(q), quant_pred));
-            if (scalar_pred != 0.0)
-                max_rel_err = std::max(
-                    max_rel_err, std::abs(quant_pred - scalar_pred) /
-                                     std::abs(scalar_pred));
-        }
-    }
-    // Near-threshold passes are ~1/32000 per comparison: a few tree
-    // flips across ~90k walks, never a broad drift.
-    EXPECT_LT(static_cast<double>(flipped_trees),
-              0.002 * static_cast<double>(total_trees));
-    EXPECT_LT(max_rel_err, 0.05);
-}
-
-TEST(FlatForest, QuantizedSpecializeBitIdenticalToFullWalk)
-{
-    const auto rf = randomForest(4321, 10);
-    auto ff = FlatForest::compile(rf);
-    ff.setSimdMode(SimdMode::Auto);
-    Pcg32 rng(777);
-    for (int round = 0; round < 4; ++round) {
-        std::vector<double> prefix(numKernelFeatures);
-        for (auto &x : prefix)
-            x = rng.uniform(-6.0, 14.0);
-        const auto resid = ff.specialize(prefix);
-        // The residual inherits the parent's engine and quantizers.
-        EXPECT_EQ(resid.simdMode(), ff.simdMode());
-        EXPECT_EQ(resid.simdPath(), ff.simdPath());
-
-        auto qs = randomQueries(48, 778 + round);
-        for (auto &q : qs)
-            for (int k = 0; k < numKernelFeatures; ++k)
-                q[static_cast<std::size_t>(k)] =
-                    prefix[static_cast<std::size_t>(k)];
-        std::vector<double> a(qs.size()), b(qs.size());
-        ff.predictBatch(qs, a);
-        resid.predictBatch(qs, b);
-        for (std::size_t i = 0; i < qs.size(); ++i)
-            EXPECT_TRUE(bitEqual(a[i], b[i]));
-    }
-}
-
-/**
- * The thread-local residual cache behind predictBatch must never
- * change results, no matter where in its lifecycle a call lands
- * (candidate accumulating, residual just built, prefix changed under
- * a live entry). Hammer one forest with small shared-prefix batches
- * interleaved with single-row probes - the exact shape of a cold MPC
- * decision - across several prefix epochs, and compare every output
- * against a fresh compile of the same forest whose single-row calls
- * always walk the full arena (one row can neither witness a shared
- * prefix nor match a candidate no other call created).
- */
-TEST(FlatForest, ResidualCacheBitIdenticalAndNeverStale)
-{
-    const auto rf = randomForest(31);
-    auto ff = FlatForest::compile(rf);
-    ff.setSimdMode(SimdMode::Fallback);
-    EXPECT_NE(ff.arenaId(), 0u);
-
-    Pcg32 rng(0x51ca);
-    for (int epoch = 0; epoch < 4; ++epoch) {
-        const double tag = 1.0 + 0.37 * epoch;
-        for (int call = 0; call < 8; ++call) {
-            const std::size_t n = (call % 2) ? 5 : 1;
-            std::vector<FeatureVector> qs(n);
-            for (auto &q : qs) {
-                for (auto &x : q)
-                    x = rng.uniform(-6.0, 14.0);
-                for (int f = 0; f < numKernelFeatures; ++f)
-                    q[static_cast<std::size_t>(f)] =
-                        tag + static_cast<double>(f);
-            }
-            std::vector<double> out(n);
-            ff.predictBatch(qs, out);
-            for (std::size_t i = 0; i < n; ++i) {
-                auto ref = FlatForest::compile(rf);
-                ref.setSimdMode(SimdMode::Fallback);
-                EXPECT_NE(ref.arenaId(), ff.arenaId());
-                EXPECT_TRUE(bitEqual(out[i], ref.predict(qs[i])));
-            }
-        }
-    }
-}
-
-/**
- * Quantized analog of PredictorBatchMatchesScalarReference: whatever
- * mix of memo hits, residual forests and cold single queries serves a
- * request, a quantized predictor must return one prediction per
- * (counters, config) - never a value that depends on cache state.
- */
-TEST(FlatForest, QuantizedPredictorConsistentAcrossEntryPoints)
-{
-    TrainerOptions opts;
-    opts.corpusSize = 6;
-    opts.configStride = 8;
-    opts.forest.numTrees = 8;
-    opts.simd = SimdMode::Auto;
-    auto pred = trainRandomForestPredictor(opts);
-    EXPECT_EQ(pred->simdMode(), SimdMode::Auto);
-    EXPECT_NE(pred->simdPath(), SimdPath::Float64);
-
-    const kernel::GroundTruthModel model{hw::ApuParams::defaults()};
-    const hw::ConfigSpace space;
-    const auto kernel = workload::trainingCorpus(1, 0x5150)[0];
-    const auto c0 = hw::ConfigSpace::failSafe();
-    const auto est = model.estimate(kernel, c0);
-    PredictionQuery q;
-    q.counters = model.counters(kernel, c0, est);
-    q.instructions = kernel.instructions();
-
-    const auto &cfgs = space.all();
-    // Cold single first (n == 1 never claims the cache entry), then
-    // the batched path (residual specialization + memo), then repeats
-    // served from the memo: all must agree bit for bit.
-    std::vector<Prediction> cold(cfgs.size());
-    for (std::size_t i = 0; i < cfgs.size(); ++i)
-        cold[i] = pred->predict(q, cfgs[i]);
-    std::vector<Prediction> batch(cfgs.size());
-    for (int repeat = 0; repeat < 3; ++repeat) {
-        pred->predictBatch(q, cfgs, batch);
-        for (std::size_t i = 0; i < cfgs.size(); ++i) {
-            EXPECT_TRUE(bitEqual(batch[i].time, cold[i].time));
-            EXPECT_TRUE(bitEqual(batch[i].gpuPower, cold[i].gpuPower));
-        }
-    }
-}
-
 TEST(FlatForest, ArenasAreCacheLineAligned)
 {
     for (std::uint64_t seed : {3u, 8u, 15u}) {
         const auto rf = randomForest(seed);
-        auto ff = FlatForest::compile(rf);
-        EXPECT_EQ(ff.arenaMisalignment(), 0u);
-        // Residual arenas are fresh allocations; same guarantee.
-        std::vector<double> prefix(numKernelFeatures, 1.0);
-        EXPECT_EQ(ff.specialize(prefix).arenaMisalignment(), 0u);
+        EXPECT_EQ(FlatForest::compile(rf).arenaMisalignment(), 0u);
     }
 }
 
-TEST(FlatForest, SimdRowCountersAdvancePerPath)
+/**
+ * The row count perfbench reads, through the ml/simd.hpp shim, as
+ * ml.rows_per_decision, and the engine name it stamps as simd_path:
+ * served rows count once each, OOB rows not at all.
+ */
+TEST(FlatForest, ForestRowsWalkedCountsServedRows)
 {
     const auto rf = randomForest(55);
+    const auto ff = FlatForest::compile(rf);
     const auto qs = randomQueries(64, 56);
     std::vector<double> out(qs.size());
 
-    auto ff = FlatForest::compile(rf);
-    const auto before = simdRowStats();
-    ff.predictBatch(qs, out); // scalar default
-    ff.setSimdMode(SimdMode::Fallback);
+    const std::uint64_t r0 = forestRowsWalked();
+    const SimdRowStats s0 = simdRowStats();
     ff.predictBatch(qs, out);
-    const auto mid = simdRowStats();
-    EXPECT_EQ(mid.scalar - before.scalar, qs.size());
-    EXPECT_EQ(mid.fallback - before.fallback, qs.size());
-    if (cpuSupportsAvx2()) {
-        ff.setSimdMode(SimdMode::Avx2);
-        ff.predictBatch(qs, out);
-        const auto after = simdRowStats();
-        EXPECT_EQ(after.avx2 - mid.avx2, qs.size());
-    }
-}
+    const std::uint64_t r1 = forestRowsWalked();
+    EXPECT_EQ(r1 - r0, qs.size());
+    (void)ff.predict(qs[0]);
+    const std::uint64_t r2 = forestRowsWalked();
+    EXPECT_EQ(r2 - r1, 1u);
+    const std::vector<std::uint32_t> rows = {0, 5, 9};
+    std::vector<double> tree_out(rows.size());
+    ff.predictTreeBatch(0, qs, rows, tree_out);
+    EXPECT_EQ(forestRowsWalked(), r2);
 
-TEST(FlatForest, SimdModeParsingRoundTrips)
-{
-    for (const auto m : {SimdMode::Scalar, SimdMode::Auto,
-                         SimdMode::Avx2, SimdMode::Fallback})
-        EXPECT_EQ(parseSimdMode(toString(m)), m);
-    EXPECT_EQ(parseSimdMode("avx512"), std::nullopt);
-    EXPECT_EQ(parseSimdMode(""), std::nullopt);
-    // Requests degrade but never fail: every mode resolves to a path.
-    for (const auto m : {SimdMode::Scalar, SimdMode::Auto,
-                         SimdMode::Avx2, SimdMode::Fallback}) {
-        const auto p = resolveSimdPath(m);
-        EXPECT_TRUE(p == SimdPath::Float64 ||
-                    p == SimdPath::FixedPortable ||
-                    p == SimdPath::FixedAvx2);
-    }
-    EXPECT_EQ(resolveSimdPath(SimdMode::Scalar), SimdPath::Float64);
-    EXPECT_EQ(resolveSimdPath(SimdMode::Fallback),
-              SimdPath::FixedPortable);
+    const SimdRowStats s1 = simdRowStats();
+    EXPECT_EQ(s1.scalar - s0.scalar, r2 - r0);
+    EXPECT_EQ(s1.fallback, 0u);
+    EXPECT_EQ(s1.avx2, 0u);
+    EXPECT_STREQ(toString(resolveSimdPath(defaultSimdMode())), "scalar");
 }
 
 // ---------------------------------------------------------------------

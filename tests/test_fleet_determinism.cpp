@@ -88,12 +88,6 @@ TEST(FleetDeterminism, ParallelFleetIsByteIdenticalToSerial)
 
 TEST(FleetDeterminism, MatchesGoldenTrace)
 {
-    // The golden bytes are a property of the scalar float64 engine;
-    // quantized runs (GPUPM_SIMD=auto/avx2/fallback, as in the CI simd
-    // matrix) are self-consistent but deliberately not float-exact.
-    if (ml::defaultSimdMode() != ml::SimdMode::Scalar)
-        GTEST_SKIP() << "golden trace is pinned for --simd scalar only";
-
     const std::string current = serializeFleetTrace(runAt(8).trace);
 
     if (std::getenv("GPUPM_REGEN_GOLDEN") != nullptr) {
@@ -146,59 +140,25 @@ TEST(FleetDeterminism, OnlineLearnWithoutDriftIsByteIdentical)
     EXPECT_EQ(learned.forestGeneration, 0u);
 }
 
-TEST(FleetDeterminism, QuantizedFleetIsDeterministicAcrossJobs)
-{
-    // The int16 engine keeps the whole determinism contract: rows are
-    // still evaluated independently, so worker count and memo hit
-    // order cannot change a quantized prediction either. (Its trace
-    // differs from the scalar golden - that is the quantization, pinned
-    // by test_flat_forest - but it must be byte-stable against itself.)
-    ml::TrainerOptions topts;
-    topts.corpusSize = 16;
-    topts.configStride = 4;
-    topts.forest.numTrees = 8;
-    topts.simd = ml::SimdMode::Auto;
-    const std::shared_ptr<const ml::RandomForestPredictor> rf(
-        ml::trainRandomForestPredictor(topts));
-    ASSERT_NE(rf->simdPath(), ml::SimdPath::Float64);
-
-    const auto serial = runFleet(rf, goldenFleet(1));
-    const auto parallel = runFleet(rf, goldenFleet(8));
-    EXPECT_EQ(serializeFleetTrace(serial.trace),
-              serializeFleetTrace(parallel.trace));
-
-    // Telemetry must attribute the run to the fixed-point engine:
-    // every forest row this fleet evaluated went down the quantized
-    // path, none down scalar float.
-    const auto &c = parallel.metrics.counters;
-    const auto rows = [&](const char *k) {
-        const auto it = c.find(k);
-        return it != c.end() ? it->second : std::uint64_t{0};
-    };
-    EXPECT_EQ(rows("ml.rows_scalar"), 0u);
-    EXPECT_GT(rows("ml.rows_fallback") + rows("ml.rows_avx2"), 0u);
-}
-
 TEST(FleetDeterminism, ScalarFleetReportsScalarRows)
 {
+    // One row counter: the per-engine names must not come back.
     const auto result = runAt(2);
     const auto &c = result.metrics.counters;
-    ASSERT_NE(c.find("ml.rows_scalar"), c.end());
-    if (ml::defaultSimdMode() == ml::SimdMode::Scalar) {
-        EXPECT_GT(c.at("ml.rows_scalar"), 0u);
-        EXPECT_EQ(c.at("ml.rows_fallback"), 0u);
-        EXPECT_EQ(c.at("ml.rows_avx2"), 0u);
-    }
+    ASSERT_NE(c.find("ml.rows"), c.end());
+    EXPECT_GT(c.at("ml.rows"), 0u);
+    for (const char *gone :
+         {"ml.rows_scalar", "ml.rows_fallback", "ml.rows_avx2"})
+        EXPECT_EQ(c.find(gone), c.end()) << gone;
 }
 
 TEST(FleetDeterminism, ShardedFleetIsByteIdenticalAcrossShardCounts)
 {
-    // The acceptance contract of sharding: tenant-hash routing, split
-    // session managers and the work-stealing drain
-    // are all invisible in the trace. Session ids come from one global
-    // counter and predictions are pure per row, so the bytes at
-    // --shards 1 (the golden configuration) and any other shard count
-    // must be identical.
+    // The acceptance contract of sharding: tenant-hash routing and
+    // split session managers are invisible in the trace. Session ids
+    // come from one global counter and predictions are pure per row,
+    // so the bytes at --shards 1 (the golden configuration) and any
+    // other shard count must be identical.
     const std::string base = serializeFleetTrace(runAt(8).trace);
     for (const std::size_t shards : {2ul, 4ul, 7ul}) {
         auto opts = goldenFleet(8);
@@ -416,9 +376,6 @@ TEST(FleetDeterminism, MixedFleetIsByteIdenticalAcrossShardsAndJobs)
 
 TEST(FleetDeterminism, MixedFleetMatchesGoldenTrace)
 {
-    if (ml::defaultSimdMode() != ml::SimdMode::Scalar)
-        GTEST_SKIP() << "golden trace is pinned for --simd scalar only";
-
     const std::string current =
         serializeFleetTrace(runFleet(forest(), mixedFleet(8)).trace);
 

@@ -405,33 +405,6 @@ TEST(OnlineLearner, SustainedDriftRetrainsAndPublishes)
     EXPECT_EQ(inner.size(), 24u);
 }
 
-TEST(OnlineLearner, RefitPreservesServingSimdMode)
-{
-    // Serve generation 0 on the quantized fallback engine, force a
-    // drift-triggered refit, and check the published replacement kept
-    // the engine: a fleet running --simd auto/avx2 must never degrade
-    // to scalar float (or vice versa) just because the learner rebuilt
-    // the forests, or generation-keyed memo caches would compare
-    // predictions from two different number domains.
-    auto &fx = fixture();
-    auto g0 = std::make_shared<const ml::RandomForestPredictor>(
-        fx.gens[0]->timeForest(), fx.gens[0]->powerForest(),
-        ml::SimdMode::Fallback);
-    ASSERT_EQ(g0->simdPath(), ml::SimdPath::FixedPortable);
-
-    ForestHandle handle(g0);
-    OnlineLearner learner(handle, eagerLearner());
-    for (std::size_t i = 0; i < 24; ++i)
-        learner.record(driftingRecord(i));
-    learner.drain();
-    ASSERT_GE(handle.ordinal(), 1u);
-
-    const auto cur = handle.acquire();
-    ASSERT_NE(cur->predictor.get(), g0.get());
-    EXPECT_EQ(cur->predictor->simdMode(), ml::SimdMode::Fallback);
-    EXPECT_EQ(cur->predictor->simdPath(), ml::SimdPath::FixedPortable);
-}
-
 TEST(OnlineLearner, TriggersBelowMinRowsAreSuppressed)
 {
     auto &fx = fixture();

@@ -212,8 +212,7 @@ TEST(Serialize, DeepestWalkableTreeMatchesRandomForest)
 {
     std::stringstream s(chainModel(65535));
     const auto loaded = loadRandomForest(s);
-    auto flat = FlatForest::compile(loaded->timeForest());
-    flat.setSimdMode(SimdMode::Scalar);
+    const auto flat = FlatForest::compile(loaded->timeForest());
     for (const double k : {0.0, 1.0, 40000.0, 65534.0, 65535.0, 1e9}) {
         FeatureVector row{};
         row[0] = k;

@@ -234,35 +234,6 @@ parseOnlineOptions(const FlagParser &flags)
 }
 
 /**
- * Shared --simd flag for every subcommand that builds or loads a
- * predictor. applySimdFlag installs the chosen mode as the process
- * default, which all predictor construction sites consult: fresh
- * training (TrainerOptions::simd), --model loads (serialize.cpp's
- * default constructor argument), and online-refit fallbacks.
- */
-void
-addSimdFlag(FlagParser &flags)
-{
-    flags.addString("simd", toString(ml::defaultSimdMode()),
-                    "forest inference engine: scalar (float64, "
-                    "bit-exact golden path), auto, avx2, fallback; "
-                    "GPUPM_SIMD env sets the default");
-}
-
-bool
-applySimdFlag(const FlagParser &flags)
-{
-    const auto mode = ml::parseSimdMode(flags.getString("simd"));
-    if (!mode) {
-        std::cerr << "invalid --simd value '" << flags.getString("simd")
-                  << "' (want scalar|auto|avx2|fallback)\n";
-        return false;
-    }
-    ml::setDefaultSimdMode(*mode);
-    return true;
-}
-
-/**
  * Shared --shards / --shed flag family for the fleet subcommands:
  * tenant-hash sharding of the decision server's session managers plus
  * its windowed-error overload controller (serve/shed.hpp).
@@ -397,14 +368,11 @@ cmdTrain(int argc, const char *const *argv)
                  "dataset-generation and forest-fitting workers (0 = "
                  "hardware concurrency, 1 = serial; output is identical)",
                  0, 4096);
-    addSimdFlag(flags);
     if (!flags.parse(argc, argv)) {
         std::cerr << (flags.helpRequested() ? "" : flags.error() + "\n")
                   << flags.usage();
         return flags.helpRequested() ? 0 : 2;
     }
-    if (!applySimdFlag(flags))
-        return 2;
 
     ml::TrainerOptions opts;
     opts.corpusSize = static_cast<std::size_t>(flags.getInt("corpus"));
@@ -485,7 +453,6 @@ cmdRun(int argc, const char *const *argv)
                     "per-run power cap in watts for the MPC governor "
                     "(0 = uncapped)",
                     0.001, 1e6);
-    addSimdFlag(flags);
     addOnlineFlags(flags);
     TraceOutputs::addFlags(flags);
     if (!flags.parse(argc, argv)) {
@@ -493,8 +460,6 @@ cmdRun(int argc, const char *const *argv)
                   << flags.usage();
         return flags.helpRequested() ? 0 : 2;
     }
-    if (!applySimdFlag(flags))
-        return 2;
 
     TraceOutputs trace_outputs(flags);
 
@@ -654,15 +619,12 @@ cmdSweep(int argc, const char *const *argv)
                  0, 4096);
     flags.addInt("seed", 0x5eed, "root seed for per-job RNG streams");
     flags.addInt("runs", 2, "MPC executions after profiling", 1, 10000);
-    addSimdFlag(flags);
     TraceOutputs::addFlags(flags);
     if (!flags.parse(argc, argv)) {
         std::cerr << (flags.helpRequested() ? "" : flags.error() + "\n")
                   << flags.usage();
         return flags.helpRequested() ? 0 : 2;
     }
-    if (!applySimdFlag(flags))
-        return 2;
 
     TraceOutputs trace_outputs(flags);
 
@@ -789,7 +751,6 @@ cmdFleet(int argc, const char *const *argv)
                   "wall-clock metrics)");
     flags.addPath("trace", "",
                   "write the decision trace (JSON lines) here");
-    addSimdFlag(flags);
     addOnlineFlags(flags);
     TraceOutputs::addFlags(flags);
     if (!flags.parse(argc, argv)) {
@@ -797,8 +758,6 @@ cmdFleet(int argc, const char *const *argv)
                   << flags.usage();
         return flags.helpRequested() ? 0 : 2;
     }
-    if (!applySimdFlag(flags))
-        return 2;
 
     TraceOutputs trace_outputs(flags);
 
@@ -928,18 +887,13 @@ cmdFleet(int argc, const char *const *argv)
                       << cnt("serve.shed_enters") << " enters, "
                       << cnt("serve.shed_exits") << " exits\n";
         }
-        // Row counts depend on cache/memo hit patterns, which vary
+        // The row count depends on cache/memo hit patterns, which vary
         // with worker scheduling - hence outside --deterministic.
         const auto &c = result.metrics.counters;
-        const auto rows = [&](const char *k) {
-            const auto it = c.find(k);
-            return it != c.end() ? it->second : std::uint64_t{0};
-        };
-        std::cout << "inference: --simd "
-                  << flags.getString("simd") << ", rows scalar "
-                  << rows("ml.rows_scalar") << ", fallback "
-                  << rows("ml.rows_fallback") << ", avx2 "
-                  << rows("ml.rows_avx2") << "\n";
+        const auto rows = c.find("ml.rows");
+        std::cout << "inference: forest rows "
+                  << (rows != c.end() ? rows->second : std::uint64_t{0})
+                  << "\n";
     }
 
     const std::string trace_path = flags.getPath("trace");
@@ -987,14 +941,11 @@ cmdReplay(int argc, const char *const *argv)
     flags.addBool("expect-identical",
                   "exit nonzero unless every replayed decision matches "
                   "the recorded one (CI determinism check)");
-    addSimdFlag(flags);
     if (!flags.parse(argc, argv)) {
         std::cerr << (flags.helpRequested() ? "" : flags.error() + "\n")
                   << flags.usage();
         return flags.helpRequested() ? 0 : 2;
     }
-    if (!applySimdFlag(flags))
-        return 2;
 
     const std::string trace_path = flags.getPath("trace");
     if (trace_path.empty()) {
@@ -1108,14 +1059,11 @@ cmdServe(int argc, const char *const *argv)
     addHwModelFlag(flags);
     addShardFlags(flags);
     addPowercapFlags(flags);
-    addSimdFlag(flags);
     if (!flags.parse(argc, argv)) {
         std::cerr << (flags.helpRequested() ? "" : flags.error() + "\n")
                   << flags.usage();
         return flags.helpRequested() ? 0 : 2;
     }
-    if (!applySimdFlag(flags))
-        return 2;
 
     const std::string listen = flags.getString("listen");
     const auto colon = listen.rfind(':');

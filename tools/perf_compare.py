@@ -20,15 +20,6 @@ per-percentile comparison too. Tail latency is far noisier than mean
 rate, so percentiles gate on their own --percentile-threshold (default
 50%, p99 only); p50/p95 deltas are always printed but informational.
 
-Both files must come from the same inference engine: the bench mains
-stamp the resolved SIMD path and quantization domain into the JSON
-context (gpupm_simd_path / gpupm_quant; files predating the keys read
-as scalar/float64), and mismatched runs are refused with exit code 2 -
-a quantized AVX2 candidate "beating" a float baseline is an engine
-change, not a like-for-like result. Pass --allow-simd-mismatch for the
-deliberate cross-engine comparison (e.g. quantifying the quantized
-speedup itself).
-
 Capture inputs with:
     bench_micro_runtime --benchmark_min_time=0.5 \
         --benchmark_out=out.json --benchmark_out_format=json
@@ -39,16 +30,6 @@ Only the python3 standard library is used.
 import argparse
 import json
 import sys
-
-
-def load_context(path):
-    """(simd_path, quant) recorded in the run's context block."""
-    with open(path) as f:
-        doc = json.load(f)
-    ctx = doc.get("context", {})
-    return (ctx.get("gpupm_simd_path", "scalar"),
-            ctx.get("gpupm_quant", "float64"))
-
 
 PERCENTILE_KEYS = ("latency_p50_ns", "latency_p95_ns", "latency_p99_ns")
 
@@ -94,23 +75,7 @@ def main():
     ap.add_argument("--percentile-threshold", type=float, default=50.0,
                     help="p99 latency regression threshold in percent "
                          "(default 50; p50/p95 are informational)")
-    ap.add_argument("--allow-simd-mismatch", action="store_true",
-                    help="compare runs from different inference "
-                         "engines (deliberate cross-engine studies)")
     args = ap.parse_args()
-
-    base_engine = load_context(args.baseline)
-    cand_engine = load_context(args.candidate)
-    if base_engine != cand_engine:
-        msg = (f"inference engines differ: baseline is "
-               f"{base_engine[0]}/{base_engine[1]}, candidate is "
-               f"{cand_engine[0]}/{cand_engine[1]}")
-        if not args.allow_simd_mismatch:
-            print(f"error: {msg}; rerun both on one engine or pass "
-                  f"--allow-simd-mismatch", file=sys.stderr)
-            return 2
-        print(f"warning: {msg} (--allow-simd-mismatch)",
-              file=sys.stderr)
 
     base, base_pcts = load_benchmarks(args.baseline)
     cand, cand_pcts = load_benchmarks(args.candidate)
