@@ -40,7 +40,8 @@ struct Fixture
         opts.corpusSize = 24;
         opts.configStride = 3;
         opts.forest.numTrees = 60;
-        rf = ml::trainRandomForestPredictor(opts);
+        forests = ml::trainRandomForests(opts);
+        rf = std::make_unique<ml::RandomForestPredictor>(forests);
         kernel = workload::trainingCorpus(1, 0x71e)[0];
         const auto c = hw::ConfigSpace::failSafe();
         const auto est = model.estimate(kernel, c);
@@ -53,6 +54,8 @@ struct Fixture
     kernel::GroundTruthModel model{hw::ApuParams::defaults()};
     hw::ConfigSpace space;
     ml::EnergyModel energy{hw::ApuParams::defaults()};
+    /** The fitted forests rf was compiled from (scalar reference, save). */
+    ml::TrainedForests forests;
     std::unique_ptr<ml::RandomForestPredictor> rf;
     kernel::KernelParams kernel;
     ml::PredictionQuery query;
@@ -91,8 +94,8 @@ BM_ScalarForestReference(benchmark::State &state)
     for (auto _ : state) {
         const auto feats = ml::makeFeatures(f.query.counters, c);
         ml::Prediction p;
-        p.time = std::exp(f.rf->timeForest().predict(feats)) * proxy;
-        p.gpuPower = f.rf->powerForest().predict(feats);
+        p.time = std::exp(f.forests.time.predict(feats)) * proxy;
+        p.gpuPower = f.forests.power.predict(feats);
         benchmark::DoNotOptimize(p);
     }
 }
@@ -324,15 +327,15 @@ BM_TrainPredictorEndToEnd(benchmark::State &state)
 BENCHMARK(BM_TrainPredictorEndToEnd)->Unit(benchmark::kMillisecond);
 
 /**
- * Loading a saved model: the fixture's predictor is written once, then
- * each iteration parses the text back and compiles both forests, the
+ * Loading a saved model: the fixture's forests are written once, then
+ * each iteration streams the text back into both forest arenas, the
  * start-up cost every `--model` consumer pays.
  */
 void
 BM_LoadRandomForest(benchmark::State &state)
 {
     std::ostringstream os;
-    ml::saveRandomForest(*fixture().rf, os);
+    ml::saveRandomForest(fixture().forests, os);
     const std::string text = os.str();
     for (auto _ : state) {
         std::istringstream is(text);
@@ -341,8 +344,8 @@ BM_LoadRandomForest(benchmark::State &state)
     }
     state.counters["bytes"] = static_cast<double>(text.size());
     state.counters["nodes"] = static_cast<double>(
-        fixture().rf->timeForest().totalNodes() +
-        fixture().rf->powerForest().totalNodes());
+        fixture().forests.time.totalNodes() +
+        fixture().forests.power.totalNodes());
 }
 BENCHMARK(BM_LoadRandomForest)->Unit(benchmark::kMillisecond);
 

@@ -38,10 +38,9 @@ main(int argc, char **argv)
         std::cout << "Training: report unavailable (predictor loaded "
                      "via --model-cache)\n";
     }
-    std::cout << "Forest: " << rf.timeForest().treeCount()
+    std::cout << "Forest: " << rf.timeFlat().treeCount()
               << " trees/target, "
-              << rf.timeForest().totalNodes() +
-                     rf.powerForest().totalNodes()
+              << rf.timeFlat().nodeCount() + rf.powerFlat().nodeCount()
               << " total nodes\n\n";
 
     TextTable t({"benchmark", "time MAPE (%)", "power MAPE (%)"});

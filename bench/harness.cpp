@@ -136,8 +136,8 @@ Harness::randomForest()
                   << topts.corpusSize
                   << " corpus kernels x 336 configurations)..."
                   << std::endl;
-        auto trained =
-            ml::trainRandomForestPredictor(topts, &_trainingReport);
+        const auto trained =
+            ml::trainRandomForests(topts, &_trainingReport);
         _hasTrainingReport = true;
         std::cerr << "[harness] trained: OOB time MAPE "
                   << fmt(_trainingReport.timeOobMapePct, 1)
@@ -147,7 +147,7 @@ Harness::randomForest()
         if (!_opts.modelCache.empty()) {
             std::ofstream out(_opts.modelCache);
             if (out) {
-                ml::saveRandomForest(*trained, out);
+                ml::saveRandomForest(trained, out);
                 std::cerr << "[harness] saved RF predictor to "
                           << _opts.modelCache << std::endl;
             } else {
@@ -155,7 +155,7 @@ Harness::randomForest()
                            "' - continuing without caching");
             }
         }
-        _rf = std::move(trained);
+        _rf = std::make_shared<const ml::RandomForestPredictor>(trained);
     }
     return _rf;
 }

@@ -31,7 +31,10 @@ main()
     std::cout << "Training on " << opts.corpusSize
               << " synthetic kernels (every "
               << opts.configStride << "nd of 336 configurations)...\n";
-    auto rf = ml::trainRandomForestPredictor(opts, &report);
+    // Training returns the fitted forests: save them (step 5), and
+    // compile them into the predictor that serves queries.
+    const auto forests = ml::trainRandomForests(opts, &report);
+    const auto rf = std::make_unique<ml::RandomForestPredictor>(forests);
 
     std::cout << "  dataset rows:   " << report.datasetRows << "\n"
               << "  OOB time MAPE:  " << fmt(report.timeOobMapePct, 1)
@@ -89,7 +92,7 @@ main()
     const std::string model_path = "gpupm_model.rf";
     {
         std::ofstream out(model_path);
-        ml::saveRandomForest(*rf, out);
+        ml::saveRandomForest(forests, out);
     }
     std::ifstream in(model_path);
     auto reloaded = ml::loadRandomForest(in);

@@ -9,6 +9,7 @@
 #include <limits>
 
 #include "common/logging.hpp"
+#include "ml/model_reader.hpp"
 #include "ml/random_forest.hpp"
 #include "trace/trace.hpp"
 
@@ -84,8 +85,11 @@ FlatForest::appendTree(const std::vector<DecisionTree::Node> &nodes)
 }
 
 void
-FlatForest::finalizeWalkOrder()
+FlatForest::finalize()
 {
+    _nodes.shrinkToFit();
+    _leafIdx.shrinkToFit();
+    _leafValue.shrinkToFit();
     _walkOrder.resize(_roots.size());
     for (std::size_t t = 0; t < _walkOrder.size(); ++t)
         _walkOrder[t] = static_cast<std::uint32_t>(t);
@@ -113,7 +117,7 @@ FlatForest::compile(const RandomForest &rf)
     ff._depths.reserve(rf.treeCount());
     for (const auto &tree : rf.trees())
         ff.appendTree(tree.nodes());
-    ff.finalizeWalkOrder();
+    ff.finalize();
     return ff;
 }
 
@@ -123,7 +127,18 @@ FlatForest::compile(const DecisionTree &tree)
     GPUPM_ASSERT(tree.fitted(), "cannot compile an unfitted tree");
     FlatForest ff;
     ff.appendTree(tree.nodes());
-    ff.finalizeWalkOrder();
+    ff.finalize();
+    return ff;
+}
+
+FlatForest
+FlatForest::load(std::istream &is)
+{
+    const std::size_t count = detail::readForestHeader(is);
+    FlatForest ff;
+    for (std::size_t i = 0; i < count; ++i)
+        ff.appendTree(DecisionTree::load(is).nodes());
+    ff.finalize();
     return ff;
 }
 

@@ -16,9 +16,11 @@
  *    children are adjacent (one fetch covers both outcomes);
  *  - per node, only what traversal needs, packed into 16 bytes: a
  *    float64 threshold, one int32 relative child offset (left child;
- *    right = left + 1), and an int16 feature index. Half the footprint
- *    of the training representation, and one cache line serves four
- *    nodes;
+ *    right = left + 1), and an int16 feature index, so one cache line
+ *    serves four nodes. With the leaf-index table and the leaf values
+ *    a node costs about 24 bytes, against DecisionTree's 32; a served
+ *    model keeps only this arena (load() streams a saved forest into
+ *    it and never holds a DecisionTree beyond the one being read);
  *  - leaves are *self-looping*: threshold +inf, offset 0, so the step
  *    i += offset + (f > threshold) leaves i unchanged. A walker can
  *    therefore run a fixed number of steps - the tree's depth, recorded
@@ -64,6 +66,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -88,6 +91,16 @@ class FlatForest
      * mean - predictions are needed.
      */
     static FlatForest compile(const DecisionTree &tree);
+
+    /**
+     * Read a forest written by RandomForest::save straight into the
+     * arena: equal, node for node, to compile(RandomForest::load(is)).
+     * Each tree goes through DecisionTree::load, with every check it
+     * makes, is appended and then dropped, so loading holds one tree
+     * beyond the arena; the arena grows in place (see AlignedArena).
+     * Fatal on malformed input, as RandomForest::load.
+     */
+    static FlatForest load(std::istream &is);
 
     bool compiled() const { return !_roots.empty(); }
     std::size_t treeCount() const { return _roots.size(); }
@@ -123,8 +136,8 @@ class FlatForest
 
     /**
      * The node arena's base address modulo the cache line size: 0 iff
-     * it is 64-byte aligned (pinned by test + the AlignedVector
-     * allocator; a line then always holds four whole nodes).
+     * it is 64-byte aligned (pinned by test + AlignedArena; a line
+     * then always holds four whole nodes).
      */
     std::size_t arenaMisalignment() const;
 
@@ -180,21 +193,21 @@ class FlatForest
                   "bitset width must be whole words");
 
     /**
-     * Sort _walkOrder by tree depth so the eight walkers of a
-     * predictOne group finish together instead of idling at the
-     * group's deepest tree. Walk order is free to differ from tree
-     * order: results land in per-tree slots and are summed in tree
-     * order regardless.
+     * Release the arenas' spare capacity and sort _walkOrder by tree
+     * depth so the eight walkers of a predictOne group finish together
+     * instead of idling at the group's deepest tree. Walk order is
+     * free to differ from tree order: results land in per-tree slots
+     * and are summed in tree order regardless.
      */
-    void finalizeWalkOrder();
+    void finalize();
 
-    AlignedVector<Node> _nodes;         ///< BFS arena, all trees.
-    std::vector<std::int32_t> _leafIdx; ///< Per arena slot: leaf-value
-                                        ///< index, or -1 for internal.
+    AlignedArena<Node> _nodes;           ///< BFS arena, all trees.
+    AlignedArena<std::int32_t> _leafIdx; ///< Per arena slot: leaf-value
+                                         ///< index, or -1 for internal.
     std::vector<std::uint32_t> _roots;  ///< Arena index of each root.
     std::vector<std::uint16_t> _depths; ///< Per-tree depth (walk count).
     std::vector<std::uint32_t> _walkOrder; ///< Trees by ascending depth.
-    std::vector<double> _leafValue;     ///< Leaf predictions.
+    AlignedArena<double> _leafValue;    ///< Leaf predictions.
 };
 
 /**

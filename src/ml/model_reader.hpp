@@ -9,10 +9,14 @@
  * consumes exactly the bytes `is >> word` into a std::string would:
  * the whitespace before a token and the token, never the byte after
  * it. A reader therefore holds no byte it has not handed out;
- * DecisionTree::load, RandomForest::load and loadRandomForest each run
+ * DecisionTree::load, readForestHeader and loadRandomForest each run
  * their own reader on one stream, and a stream holding a model
  * followed by anything else is left positioned right after the
  * model's last token. Nothing beyond the current token is copied.
+ *
+ * There is one parser per record: DecisionTree::load reads a tree and
+ * readForestHeader a forest's header, whether the trees go into a
+ * RandomForest or straight into a FlatForest arena.
  */
 
 #pragma once
@@ -97,6 +101,14 @@ class ModelReader
     std::streambuf *_buf;
     std::array<char, maxToken> _text{};
 };
+
+/**
+ * Read the "forest trees <n>" header RandomForest::save writes before
+ * its trees and return n; fatal unless it is well formed and n > 0.
+ * The n trees follow, each for DecisionTree::load. Defined with
+ * RandomForest::load.
+ */
+std::size_t readForestHeader(std::istream &is);
 
 /**
  * Make room for one more element of @p v, which a well-formed record

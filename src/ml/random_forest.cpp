@@ -167,10 +167,10 @@ RandomForest::save(std::ostream &os) const
         t.save(os);
 }
 
-RandomForest
-RandomForest::load(std::istream &is)
+std::size_t
+detail::readForestHeader(std::istream &is)
 {
-    detail::ModelReader in(is);
+    ModelReader in(is);
     std::size_t count = 0;
     if (in.token() != "forest" || in.token() != "trees" ||
         !in.number(count)) {
@@ -178,6 +178,13 @@ RandomForest::load(std::istream &is)
     }
     if (count == 0)
         GPUPM_FATAL("forest with zero trees");
+    return count;
+}
+
+RandomForest
+RandomForest::load(std::istream &is)
+{
+    const std::size_t count = detail::readForestHeader(is);
     RandomForest rf;
     for (std::size_t i = 0; i < count; ++i) {
         DecisionTree tree = DecisionTree::load(is);

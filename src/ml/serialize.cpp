@@ -9,14 +9,14 @@
 namespace gpupm::ml {
 
 void
-saveRandomForest(const RandomForestPredictor &predictor, std::ostream &os)
+saveRandomForest(const TrainedForests &forests, std::ostream &os)
 {
     os << "gpupm-rf v1\n";
     os << "features " << numFeatures << '\n';
     os << "target time\n";
-    predictor.timeForest().save(os);
+    forests.time.save(os);
     os << "target power\n";
-    predictor.powerForest().save(os);
+    forests.power.save(os);
     GPUPM_ASSERT(os.good(), "stream failure while saving predictor");
 }
 
@@ -41,12 +41,12 @@ loadRandomForest(std::istream &is)
             GPUPM_FATAL("expected 'target ", name, "' section");
     };
     expect_target("time");
-    RandomForest time_forest = RandomForest::load(is);
+    FlatForest time = FlatForest::load(is);
     expect_target("power");
-    RandomForest power_forest = RandomForest::load(is);
+    FlatForest power = FlatForest::load(is);
 
-    return std::make_unique<RandomForestPredictor>(
-        std::move(time_forest), std::move(power_forest));
+    return std::make_unique<RandomForestPredictor>(std::move(time),
+                                                   std::move(power));
 }
 
 } // namespace gpupm::ml

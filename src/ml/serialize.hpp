@@ -4,8 +4,9 @@
  *
  * The paper trains its Random Forest offline and ships it to the
  * runtime; this module provides the equivalent artifact handling:
- * save a trained RandomForestPredictor to a version-tagged text stream
- * and load it back, bit-exactly, so deployments do not retrain.
+ * save the trained forests to a version-tagged text stream and load
+ * them back as a RandomForestPredictor whose predictions are the
+ * trained forests' bit for bit, so deployments do not retrain.
  *
  * Format (line oriented, locale independent):
  *   gpupm-rf v1
@@ -24,6 +25,11 @@
  * consumes exactly the bytes of the model, so whatever follows it in
  * the stream is left unread. A tree's child links must reach every
  * node exactly once from node 0.
+ *
+ * Each forest section is what RandomForest::save writes, so
+ * RandomForest::load reads it back as a scalar forest. The predictor
+ * loader does not: it streams every tree into the FlatForest arenas it
+ * serves from (FlatForest::load), and the forests are never held whole.
  */
 
 #pragma once
@@ -35,12 +41,12 @@
 
 namespace gpupm::ml {
 
-/** Write a trained predictor; fatal on stream failure. */
-void saveRandomForest(const RandomForestPredictor &predictor,
-                      std::ostream &os);
+/** Write trained forests; fatal on stream failure. */
+void saveRandomForest(const TrainedForests &forests, std::ostream &os);
 
 /**
- * Read a predictor previously written by saveRandomForest.
+ * Read a model previously written by saveRandomForest into a
+ * predictor.
  * Fatal on malformed input (bad token, truncation, non-finite number,
  * child links that do not form a tree) or feature-count mismatch (a
  * model trained against a different feature schema must not be

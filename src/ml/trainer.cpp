@@ -29,14 +29,18 @@ nextPredictorInstanceId()
 
 } // namespace
 
-RandomForestPredictor::RandomForestPredictor(RandomForest time_forest,
-                                             RandomForest power_forest)
-    : _time(std::move(time_forest)), _power(std::move(power_forest)),
-      _timeFlat(FlatForest::compile(_time)),
-      _powerFlat(FlatForest::compile(_power)),
+RandomForestPredictor::RandomForestPredictor(const TrainedForests &forests)
+    : RandomForestPredictor(FlatForest::compile(forests.time),
+                            FlatForest::compile(forests.power))
+{
+}
+
+RandomForestPredictor::RandomForestPredictor(FlatForest time,
+                                             FlatForest power)
+    : _timeFlat(std::move(time)), _powerFlat(std::move(power)),
       _instanceId(nextPredictorInstanceId())
 {
-    GPUPM_ASSERT(_time.fitted() && _power.fitted(),
+    GPUPM_ASSERT(_timeFlat.compiled() && _powerFlat.compiled(),
                  "predictor needs fitted forests");
 }
 
@@ -186,9 +190,8 @@ RandomForestPredictor::predictBatch(const PredictionQuery &q,
     }
 }
 
-std::unique_ptr<RandomForestPredictor>
-trainRandomForestPredictor(const TrainerOptions &opts,
-                           TrainingReport *report)
+TrainedForests
+trainRandomForests(const TrainerOptions &opts, TrainingReport *report)
 {
     const kernel::GroundTruthModel model(hw::ApuParams::defaults());
     const hw::ConfigSpace space;
@@ -241,8 +244,9 @@ trainRandomForestPredictor(const TrainerOptions &opts,
     power_opts.jobs = opts.jobs;
     power_opts.seed = opts.seed ^ 0x9ab3ULL;
 
-    RandomForest time_forest;
-    RandomForest power_forest;
+    TrainedForests forests;
+    RandomForest &time_forest = forests.time;
+    RandomForest &power_forest = forests.power;
     if (auto *pool = engine.pool()) {
         // Both forests fit concurrently on the engine's pool, each
         // fanning its trees across the same workers. Per-tree inputs
@@ -277,8 +281,15 @@ trainRandomForestPredictor(const TrainerOptions &opts,
         report->datasetRows = time_data.size();
     }
 
+    return forests;
+}
+
+std::unique_ptr<RandomForestPredictor>
+trainRandomForestPredictor(const TrainerOptions &opts,
+                           TrainingReport *report)
+{
     return std::make_unique<RandomForestPredictor>(
-        std::move(time_forest), std::move(power_forest));
+        trainRandomForests(opts, report));
 }
 
 EvalReport

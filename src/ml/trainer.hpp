@@ -31,19 +31,36 @@ namespace gpupm::ml {
 double instructionProxy(const kernel::KernelCounters &c);
 
 /**
+ * The two fitted forests of a Random Forest predictor, as training
+ * returns them and saveRandomForest writes them.
+ */
+struct TrainedForests
+{
+    /** log(seconds per instruction); see instructionProxy. */
+    RandomForest time;
+    /** GPU power (W). */
+    RandomForest power;
+};
+
+/**
  * Counter-driven Random Forest predictor (the paper's "RF").
  *
- * Construction compiles both fitted forests into FlatForest arenas;
- * all inference - scalar and batched - runs on the flat engine, with
- * the kernel-feature prefix computed once per query and the config
- * suffix served from the precomputed table. Results are bit-identical
- * to evaluating the retained scalar forests via makeFeatures.
+ * The predictor holds its two forests only as FlatForest arenas,
+ * compiled from trained forests or loaded from a saved model; all
+ * inference - scalar and batched - runs on the flat engine, with the
+ * kernel-feature prefix computed once per query and the config suffix
+ * served from the precomputed table. Results are bit-identical to
+ * RandomForest::predict on makeFeatures rows of the forests the arenas
+ * came from.
  */
 class RandomForestPredictor : public PerfPowerPredictor
 {
   public:
-    RandomForestPredictor(RandomForest time_forest,
-                          RandomForest power_forest);
+    /** Compile both forests; the predictor keeps no reference to them. */
+    explicit RandomForestPredictor(const TrainedForests &forests);
+
+    /** Serve already compiled forests (see loadRandomForest). */
+    RandomForestPredictor(FlatForest time, FlatForest power);
 
     Prediction predict(const PredictionQuery &q,
                        const hw::HwConfig &c) const override;
@@ -73,9 +90,6 @@ class RandomForestPredictor : public PerfPowerPredictor
 
     std::string name() const override { return "RF"; }
 
-    const RandomForest &timeForest() const { return _time; }
-    const RandomForest &powerForest() const { return _power; }
-
     /** The compiled inference engines (diagnostics). */
     const FlatForest &timeFlat() const { return _timeFlat; }
     const FlatForest &powerFlat() const { return _powerFlat; }
@@ -90,8 +104,6 @@ class RandomForestPredictor : public PerfPowerPredictor
     std::uint64_t instanceId() const { return _instanceId; }
 
   private:
-    RandomForest _time;
-    RandomForest _power;
     FlatForest _timeFlat;
     FlatForest _powerFlat;
     std::uint64_t _instanceId;
@@ -131,6 +143,13 @@ struct TrainingReport
  *
  * @param opts Training configuration.
  * @param[out] report Accuracy summary, if non-null.
+ */
+TrainedForests trainRandomForests(const TrainerOptions &opts = {},
+                                  TrainingReport *report = nullptr);
+
+/**
+ * trainRandomForests, compiled into a predictor; the fitted forests
+ * are dropped. Train with trainRandomForests instead to save them.
  */
 std::unique_ptr<RandomForestPredictor>
 trainRandomForestPredictor(const TrainerOptions &opts = {},

@@ -158,13 +158,13 @@ OnlineLearner::retrain(std::uint64_t trigger_ordinal,
     power_opts.jobs = 1;
     power_opts.seed = _opts.seed ^ (trigger_ordinal * 2 + 1);
 
-    ml::RandomForest time_forest;
-    ml::RandomForest power_forest;
-    time_forest.fit(time_data, time_opts);
-    power_forest.fit(power_data, power_opts);
+    ml::TrainedForests forests;
+    forests.time.fit(time_data, time_opts);
+    forests.power.fit(power_data, power_opts);
 
-    auto next = std::make_shared<const ml::RandomForestPredictor>(
-        std::move(time_forest), std::move(power_forest));
+    // The generation serves from the compiled arenas alone; the fitted
+    // forests go out of scope here.
+    auto next = std::make_shared<const ml::RandomForestPredictor>(forests);
     const std::uint64_t gen = _handle.publish(std::move(next));
     trace::Tracer::emit(trace::Category::Online, "online.swap",
                         trace::Tracer::nowNs(), 0, "generation",

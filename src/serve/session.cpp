@@ -100,7 +100,6 @@ Session::beginRun()
     _current = {};
     _current.appName = _app.name;
     _current.governorName = _governor->name();
-    _current.records.reserve(_app.trace.size());
 }
 
 DecisionRecord
@@ -142,10 +141,9 @@ Session::step(bool degraded)
     GPUPM_ASSERT(decision.overheadTime >= 0.0,
                  "negative decision overhead");
 
+    // This invocation's charges; only their totals outlive the step.
     sim::KernelRecord rec;
-    rec.index = i;
     rec.tag = inv.tag;
-    rec.kernelName = inv.params.name;
     rec.config = decision.config;
 
     rec.cpuPhaseTime = inv.cpuPhaseSeconds;
@@ -256,7 +254,6 @@ Session::step(bool degraded)
     _current.overheadEnergy +=
         rec.overheadCpuEnergy + rec.overheadGpuEnergy;
     _current.instructions += rec.instructions;
-    _current.records.push_back(std::move(rec));
 
     ++_decisions;
     ++_invocation;

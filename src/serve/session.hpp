@@ -162,7 +162,12 @@ class Session
      */
     DecisionRecord step(bool degraded = false);
 
-    /** Results of completed runs, in run order. */
+    /**
+     * Totals of completed runs, in run order: times, energies and
+     * instructions. records stays empty: a session keeps nothing per
+     * invocation (step() returns each invocation's DecisionRecord
+     * instead), so it grows by one set of totals per run.
+     */
     const std::vector<sim::RunResult> &completedRuns() const
     {
         return _runs;

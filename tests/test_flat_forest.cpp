@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -151,7 +152,8 @@ TEST(FlatForest, PredictorBatchMatchesScalarReference)
     opts.corpusSize = 6;
     opts.configStride = 8;
     opts.forest.numTrees = 8;
-    auto pred = trainRandomForestPredictor(opts);
+    const auto forests = trainRandomForests(opts);
+    const auto pred = std::make_unique<RandomForestPredictor>(forests);
 
     const kernel::GroundTruthModel model{hw::ApuParams::defaults()};
     const hw::ConfigSpace space;
@@ -170,8 +172,8 @@ TEST(FlatForest, PredictorBatchMatchesScalarReference)
         for (std::size_t i = 0; i < cfgs.size(); ++i) {
             const auto feats = makeFeatures(q.counters, cfgs[i]);
             const double ref_t =
-                std::exp(pred->timeForest().predict(feats)) * proxy;
-            const double ref_p = pred->powerForest().predict(feats);
+                std::exp(forests.time.predict(feats)) * proxy;
+            const double ref_p = forests.power.predict(feats);
             EXPECT_TRUE(bitEqual(batch[i].time, ref_t));
             EXPECT_TRUE(bitEqual(batch[i].gpuPower, ref_p));
             // The scalar entry point must agree with the batch.
@@ -243,6 +245,10 @@ TEST(FlatForest, ArenasAreCacheLineAligned)
     for (std::uint64_t seed : {3u, 8u, 15u}) {
         const auto rf = randomForest(seed);
         EXPECT_EQ(FlatForest::compile(rf).arenaMisalignment(), 0u);
+        // A loaded arena grows tree by tree, moving between blocks.
+        std::stringstream ss;
+        rf.save(ss);
+        EXPECT_EQ(FlatForest::load(ss).arenaMisalignment(), 0u);
     }
 }
 

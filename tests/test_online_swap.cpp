@@ -58,11 +58,10 @@ makePredictor(std::size_t g)
     ml::ForestOptions fopts;
     fopts.numTrees = 4;
     fopts.seed = 0xf02e57ULL ^ g;
-    ml::RandomForest time_forest, power_forest;
-    time_forest.fit(time_data, fopts);
-    power_forest.fit(power_data, fopts);
-    return std::make_shared<ml::RandomForestPredictor>(
-        std::move(time_forest), std::move(power_forest));
+    ml::TrainedForests forests;
+    forests.time.fit(time_data, fopts);
+    forests.power.fit(power_data, fopts);
+    return std::make_shared<ml::RandomForestPredictor>(forests);
 }
 
 struct Expected

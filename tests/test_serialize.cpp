@@ -4,6 +4,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <iomanip>
 #include <limits>
 #include <sstream>
@@ -13,6 +16,7 @@
 
 #include "common/rng.hpp"
 #include "kernel/perf_model.hpp"
+#include "memory_probe.hpp"
 #include "ml/serialize.hpp"
 #include "workload/training.hpp"
 
@@ -29,11 +33,92 @@ tinyOptions()
     return opts;
 }
 
+/**
+ * A saved model's two forests through RandomForest::load: the scalar
+ * reading of the text, which loadRandomForest's arenas must agree with.
+ */
+TrainedForests
+readForests(std::istream &is)
+{
+    std::string word;
+    is >> word >> word >> word >> word; // gpupm-rf v1 features <n>
+    is >> word >> word;                 // target time
+    TrainedForests forests;
+    forests.time = RandomForest::load(is);
+    is >> word >> word; // target power
+    forests.power = RandomForest::load(is);
+    return forests;
+}
+
+TrainedForests
+readForests(const std::string &text)
+{
+    std::istringstream is(text);
+    return readForests(is);
+}
+
+std::string
+saved(const TrainedForests &forests)
+{
+    std::ostringstream os;
+    saveRandomForest(forests, os);
+    return os.str();
+}
+
+std::uint64_t
+bits(double d)
+{
+    return std::bit_cast<std::uint64_t>(d);
+}
+
+/**
+ * @p loaded's raw forest outputs on @p rows equal RandomForest::predict
+ * of @p forests bit for bit, through both the batched and the
+ * single-row walk.
+ */
+void
+expectSamePredictions(const RandomForestPredictor &loaded,
+                      const TrainedForests &forests,
+                      const std::vector<FeatureVector> &rows)
+{
+    std::vector<double> time_log(rows.size()), power(rows.size());
+    loaded.predictRows(rows, time_log, power);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const double want_t = forests.time.predict(rows[i]);
+        const double want_p = forests.power.predict(rows[i]);
+        EXPECT_EQ(bits(time_log[i]), bits(want_t)) << "row " << i;
+        EXPECT_EQ(bits(power[i]), bits(want_p)) << "row " << i;
+        EXPECT_EQ(bits(loaded.timeFlat().predict(rows[i])), bits(want_t))
+            << "row " << i;
+        EXPECT_EQ(bits(loaded.powerFlat().predict(rows[i])),
+                  bits(want_p))
+            << "row " << i;
+    }
+}
+
+/** Feature rows of a few corpus kernels over a spread of configs. */
+std::vector<FeatureVector>
+sampleRows()
+{
+    const kernel::GroundTruthModel model{hw::ApuParams::defaults()};
+    const hw::ConfigSpace space;
+    std::vector<FeatureVector> rows;
+    for (const auto &k : workload::trainingCorpus(4, 0xfeed)) {
+        for (std::size_t ci = 0; ci < space.size(); ci += 7) {
+            const auto &c = space.at(ci);
+            rows.push_back(
+                makeFeatures(model.counters(k, c, model.estimate(k, c)), c));
+        }
+    }
+    return rows;
+}
+
 TEST(Serialize, RoundTripIsBitExact)
 {
-    auto original = trainRandomForestPredictor(tinyOptions());
+    const auto forests = trainRandomForests(tinyOptions());
+    const RandomForestPredictor original(forests);
     std::stringstream buffer;
-    saveRandomForest(*original, buffer);
+    saveRandomForest(forests, buffer);
     auto loaded = loadRandomForest(buffer);
 
     const kernel::GroundTruthModel model{hw::ApuParams::defaults()};
@@ -46,7 +131,7 @@ TEST(Serialize, RoundTripIsBitExact)
             const auto est = model.estimate(k, c);
             q.counters = model.counters(k, c, est);
             q.instructions = k.instructions();
-            const auto a = original->predict(q, c);
+            const auto a = original.predict(q, c);
             const auto b = loaded->predict(q, c);
             EXPECT_DOUBLE_EQ(a.time, b.time);
             EXPECT_DOUBLE_EQ(a.gpuPower, b.gpuPower);
@@ -56,27 +141,68 @@ TEST(Serialize, RoundTripIsBitExact)
 
 TEST(Serialize, SecondRoundTripIdenticalText)
 {
-    auto original = trainRandomForestPredictor(tinyOptions());
-    std::stringstream s1;
-    saveRandomForest(*original, s1);
-    auto loaded = loadRandomForest(s1);
-    std::stringstream s2;
-    saveRandomForest(*loaded, s2);
-    EXPECT_EQ(s1.str(), s2.str());
+    const std::string text = saved(trainRandomForests(tinyOptions()));
+    EXPECT_EQ(saved(readForests(text)), text);
 }
 
 TEST(Serialize, PreservesForestStructure)
 {
-    auto original = trainRandomForestPredictor(tinyOptions());
+    const auto forests = trainRandomForests(tinyOptions());
     std::stringstream buffer;
-    saveRandomForest(*original, buffer);
+    saveRandomForest(forests, buffer);
     auto loaded = loadRandomForest(buffer);
-    EXPECT_EQ(loaded->timeForest().treeCount(),
-              original->timeForest().treeCount());
-    EXPECT_EQ(loaded->timeForest().totalNodes(),
-              original->timeForest().totalNodes());
-    EXPECT_EQ(loaded->powerForest().totalNodes(),
-              original->powerForest().totalNodes());
+    EXPECT_EQ(loaded->timeFlat().treeCount(), forests.time.treeCount());
+    EXPECT_EQ(loaded->powerFlat().treeCount(), forests.power.treeCount());
+    EXPECT_EQ(loaded->timeFlat().nodeCount(), forests.time.totalNodes());
+    EXPECT_EQ(loaded->powerFlat().nodeCount(),
+              forests.power.totalNodes());
+}
+
+TEST(Serialize, LoadedPredictionsMatchTrainedForestsBitForBit)
+{
+    // The loader streams trees into the arenas without ever holding a
+    // RandomForest; what it serves must still be the trained forests'
+    // predictions exactly, through the predictor's memoized batch, its
+    // raw rows and the scalar reference, for finite rows and for rows
+    // with a NaN or an infinity in any one feature.
+    const auto forests = trainRandomForests(tinyOptions());
+    const RandomForestPredictor trained(forests);
+    std::stringstream buffer;
+    saveRandomForest(forests, buffer);
+    const auto loaded = loadRandomForest(buffer);
+
+    std::vector<FeatureVector> rows = sampleRows();
+    const std::size_t finite = rows.size();
+    for (std::size_t f = 0; f < static_cast<std::size_t>(numFeatures);
+         ++f) {
+        for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()}) {
+            FeatureVector row = rows[f % finite];
+            row[f] = v;
+            rows.push_back(row);
+        }
+    }
+    expectSamePredictions(*loaded, forests, rows);
+    expectSamePredictions(trained, forests, rows);
+
+    const kernel::GroundTruthModel model{hw::ApuParams::defaults()};
+    const hw::ConfigSpace space;
+    const auto &cfgs = space.all();
+    std::vector<Prediction> a(cfgs.size()), b(cfgs.size());
+    for (const auto &k : workload::trainingCorpus(3, 0xc0de)) {
+        PredictionQuery q;
+        q.counters = model.counters(k, cfgs[0], model.estimate(k, cfgs[0]));
+        q.instructions = k.instructions();
+        for (int repeat = 0; repeat < 2; ++repeat) {
+            trained.predictBatch(q, cfgs, a);
+            loaded->predictBatch(q, cfgs, b);
+            for (std::size_t i = 0; i < cfgs.size(); ++i) {
+                EXPECT_EQ(bits(a[i].time), bits(b[i].time));
+                EXPECT_EQ(bits(a[i].gpuPower), bits(b[i].gpuPower));
+            }
+        }
+    }
 }
 
 TEST(Serialize, RejectsGarbage)
@@ -102,10 +228,7 @@ TEST(Serialize, RejectsFeatureMismatch)
 
 TEST(Serialize, RejectsTruncatedStream)
 {
-    auto original = trainRandomForestPredictor(tinyOptions());
-    std::stringstream buffer;
-    saveRandomForest(*original, buffer);
-    std::string text = buffer.str();
+    const std::string text = saved(trainRandomForests(tinyOptions()));
     std::stringstream truncated(text.substr(0, text.size() / 2));
     EXPECT_EXIT(loadRandomForest(truncated),
                 testing::ExitedWithCode(1), ".*");
@@ -123,6 +246,9 @@ TEST(Serialize, RejectsCorruptCountsWithoutAllocating)
         "forest trees 99999999999999\ntree 1 0\n-1 0 -1 -1 1\n");
     EXPECT_EXIT(RandomForest::load(huge_forest),
                 testing::ExitedWithCode(1), "malformed tree header");
+    std::stringstream huge_arena(huge_forest.str());
+    EXPECT_EXIT(FlatForest::load(huge_arena), testing::ExitedWithCode(1),
+                "malformed tree header");
     std::stringstream negative("tree -3 0\n-1 0 -1 -1 1\n");
     EXPECT_EXIT(DecisionTree::load(negative), testing::ExitedWithCode(1),
                 "malformed tree header");
@@ -132,6 +258,9 @@ TEST(Serialize, RejectsCorruptCountsWithoutAllocating)
     std::stringstream no_trees("forest trees 0\n");
     EXPECT_EXIT(RandomForest::load(no_trees), testing::ExitedWithCode(1),
                 "zero trees");
+    std::stringstream no_arena_trees("forest trees 0\n");
+    EXPECT_EXIT(FlatForest::load(no_arena_trees),
+                testing::ExitedWithCode(1), "zero trees");
 }
 
 /** A two-forest model whose first tree is @p time_tree. */
@@ -210,15 +339,15 @@ TEST(Serialize, RejectsTreesDeeperThanTheWalkDepth)
 
 TEST(Serialize, DeepestWalkableTreeMatchesRandomForest)
 {
-    std::stringstream s(chainModel(65535));
+    const std::string text = chainModel(65535);
+    std::istringstream s(text);
     const auto loaded = loadRandomForest(s);
-    const auto flat = FlatForest::compile(loaded->timeForest());
+    const auto forests = readForests(text);
+    const FlatForest &flat = loaded->timeFlat();
     for (const double k : {0.0, 1.0, 40000.0, 65534.0, 65535.0, 1e9}) {
         FeatureVector row{};
         row[0] = k;
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(flat.predict(row)),
-                  std::bit_cast<std::uint64_t>(
-                      loaded->timeForest().predict(row)))
+        EXPECT_EQ(bits(flat.predict(row)), bits(forests.time.predict(row)))
             << "f[0] = " << k;
         EXPECT_EQ(flat.predict(row), std::min(k, 65535.0));
     }
@@ -284,15 +413,16 @@ expectSameTrees(const RandomForest &forest,
 
 TEST(Serialize, LoadMatchesStreamExtractionBitForBit)
 {
-    auto original = trainRandomForestPredictor(tinyOptions());
-    std::stringstream buffer;
-    saveRandomForest(*original, buffer);
-    const std::string text = buffer.str();
+    // DecisionTree::load is the one node parser: pinned here through
+    // RandomForest::load, and the predictor loader's arenas serve the
+    // forests it reads.
+    const std::string text = saved(trainRandomForests(tinyOptions()));
     const auto reference = referenceParse(text);
+    const auto forests = readForests(text);
+    expectSameTrees(forests.time, reference[0]);
+    expectSameTrees(forests.power, reference[1]);
     std::istringstream is(text);
-    const auto loaded = loadRandomForest(is);
-    expectSameTrees(loaded->timeForest(), reference[0]);
-    expectSameTrees(loaded->powerForest(), reference[1]);
+    expectSamePredictions(*loadRandomForest(is), forests, sampleRows());
 }
 
 TEST(Serialize, ExtremeDoublesMatchStreamExtraction)
@@ -335,10 +465,21 @@ TEST(Serialize, ExtremeDoublesMatchStreamExtraction)
     os << "target power\nforest trees 1\ntree 1 0\n-1 0 -1 -1 1\n";
     const std::string text = os.str();
     const auto reference = referenceParse(text);
+    const auto forests = readForests(text);
+    expectSameTrees(forests.time, reference[0]);
+    expectSameTrees(forests.power, reference[1]);
+    // Rows on either side of, and at, every threshold.
+    std::vector<FeatureVector> rows;
+    for (std::size_t i = 0; i < internal; ++i) {
+        for (const double v : {values[i], std::nextafter(values[i], 1e308),
+                               std::nextafter(values[i], -1e308)}) {
+            FeatureVector row{};
+            row.fill(v);
+            rows.push_back(row);
+        }
+    }
     std::istringstream is(text);
-    const auto loaded = loadRandomForest(is);
-    expectSameTrees(loaded->timeForest(), reference[0]);
-    expectSameTrees(loaded->powerForest(), reference[1]);
+    expectSamePredictions(*loadRandomForest(is), forests, rows);
 }
 
 std::string
@@ -353,10 +494,9 @@ replaceAll(std::string s, std::string_view from, std::string_view to)
 
 TEST(Serialize, AcceptsWhitespaceVariants)
 {
-    auto original = trainRandomForestPredictor(tinyOptions());
-    std::stringstream buffer;
-    saveRandomForest(*original, buffer);
-    const std::string text = buffer.str();
+    const auto forests = trainRandomForests(tinyOptions());
+    const std::string text = saved(forests);
+    const auto rows = sampleRows();
     ASSERT_EQ(text.back(), '\n');
     const std::vector<std::string> variants = {
         replaceAll(text, "\n", "\r\n"),
@@ -365,11 +505,9 @@ TEST(Serialize, AcceptsWhitespaceVariants)
         text.substr(0, text.size() - 1),
     };
     for (std::size_t v = 0; v < variants.size(); ++v) {
+        EXPECT_EQ(saved(readForests(variants[v])), text) << "variant " << v;
         std::istringstream is(variants[v]);
-        const auto loaded = loadRandomForest(is);
-        std::stringstream resaved;
-        saveRandomForest(*loaded, resaved);
-        EXPECT_EQ(resaved.str(), text) << "variant " << v;
+        expectSamePredictions(*loadRandomForest(is), forests, rows);
     }
 }
 
@@ -384,7 +522,7 @@ TEST(Serialize, RejectsNonFiniteAndMalformedNumbers)
     };
     {
         std::stringstream good(model("0.5", "1.5"));
-        EXPECT_EQ(loadRandomForest(good)->timeForest().totalNodes(), 3U);
+        EXPECT_EQ(loadRandomForest(good)->timeFlat().nodeCount(), 3U);
     }
     for (const char *bad : {"nan", "inf", "-inf", "1e999", "0.5x"}) {
         std::stringstream as_threshold(model(bad, "1.5"));
@@ -402,31 +540,104 @@ TEST(Serialize, ConsumesExactlyOneModel)
 {
     // Two models back to back, then a word of something else: each
     // load must stop right after its own last token.
-    auto first = trainRandomForestPredictor(tinyOptions());
+    const auto first = trainRandomForests(tinyOptions());
     auto opts = tinyOptions();
     opts.forest.numTrees = 3;
     opts.forest.seed = 0xbac4;
-    auto second = trainRandomForestPredictor(opts);
-    std::stringstream a, b, both;
-    saveRandomForest(*first, a);
-    saveRandomForest(*second, b);
-    both << a.str() << b.str() << "tail";
+    const auto second = trainRandomForests(opts);
+    const std::string a = saved(first), b = saved(second);
+    const std::string text = a + b + "tail";
 
+    std::istringstream both(text);
     const auto load_first = loadRandomForest(both);
     const auto load_second = loadRandomForest(both);
-    std::stringstream ra, rb;
-    saveRandomForest(*load_first, ra);
-    saveRandomForest(*load_second, rb);
-    EXPECT_EQ(ra.str(), a.str());
-    EXPECT_EQ(rb.str(), b.str());
+    const auto rows = sampleRows();
+    expectSamePredictions(*load_first, first, rows);
+    expectSamePredictions(*load_second, second, rows);
     std::string rest;
     EXPECT_TRUE(both >> rest);
+    EXPECT_EQ(rest, "tail");
+
+    // The scalar reading stops in the same places.
+    std::istringstream scalar(text);
+    EXPECT_EQ(saved(readForests(scalar)), a);
+    EXPECT_EQ(saved(readForests(scalar)), b);
+    EXPECT_TRUE(scalar >> rest);
     EXPECT_EQ(rest, "tail");
 
     // Tree by tree, too: the byte after a tree is still the stream's.
     std::stringstream tree("tree 1 0\n-1 0 -1 -1 1.5\nnext");
     EXPECT_EQ(DecisionTree::load(tree).nodeCount(), 1U);
     EXPECT_EQ(tree.get(), '\n');
+}
+
+/**
+ * Write a model of two forests of @p trees complete trees with
+ * @p depth split levels each to @p path, a node at a time, thresholds
+ * and leaf values drawn from @p seed and written as save() writes them.
+ */
+void
+writeCompleteTreeModel(const std::string &path, std::size_t trees,
+                       std::size_t depth, std::uint64_t seed)
+{
+    const std::size_t internal = (std::size_t{1} << depth) - 1;
+    const std::size_t count = 2 * internal + 1;
+    Pcg32 rng(seed);
+    std::ofstream os(path);
+    os << std::setprecision(std::numeric_limits<double>::max_digits10);
+    os << "gpupm-rf v1\nfeatures " << numFeatures << '\n';
+    for (const char *target : {"time", "power"}) {
+        os << "target " << target << "\nforest trees " << trees << '\n';
+        for (std::size_t t = 0; t < trees; ++t) {
+            os << "tree " << count << ' ' << depth << '\n';
+            for (std::size_t i = 0; i < count; ++i) {
+                if (i < internal) {
+                    os << rng.nextBounded(numFeatures) << ' '
+                       << rng.uniform(-1.0, 1.0) << ' ' << 2 * i + 1 << ' '
+                       << 2 * i + 2 << " 0\n";
+                } else {
+                    os << "-1 0 -1 -1 " << rng.uniform(0.0, 50.0) << '\n';
+                }
+            }
+        }
+    }
+    ASSERT_TRUE(os.good());
+}
+
+TEST(Serialize, LoadPeaksAtTheArenaSize)
+{
+    // The loader holds one tree beyond the arenas it fills, and the
+    // arenas grow in place, so loading raises the resident high-water
+    // mark by about an arena's 24 B per node; holding the parsed
+    // forests as well (32 B per node) took it past 52. Measured in a
+    // child so the child's high-water mark starts at its resident set.
+    if (!test::kGlibcMalloc)
+        GTEST_SKIP() << test::kNotGlibcMalloc;
+    // Trees of the default `gpupm train` model's size (10k-14k nodes).
+    constexpr std::size_t trees = 12, depth = 13;
+    constexpr std::size_t nodes = 2 * trees * ((std::size_t{2} << depth) - 1);
+    static_assert(nodes >= 300000);
+    const std::string path =
+        testing::TempDir() + "gpupm_serialize_load_peak.rf";
+    writeCompleteTreeModel(path, trees, depth, 0x9ea4);
+    EXPECT_EXIT(
+        {
+            const std::size_t rss = test::procStatusBytes("VmRSS");
+            std::ifstream is(path);
+            const auto loaded = loadRandomForest(is);
+            const std::size_t peak = test::procStatusBytes("VmHWM");
+            const double per_node =
+                (static_cast<double>(peak) - static_cast<double>(rss)) /
+                static_cast<double>(nodes);
+            std::fprintf(stderr, "high-water mark grew %.1f B/node\n",
+                         per_node);
+            const bool whole = loaded->timeFlat().nodeCount() +
+                                   loaded->powerFlat().nodeCount() ==
+                               nodes;
+            std::_Exit(whole && per_node < 32.0 ? 0 : 1);
+        },
+        testing::ExitedWithCode(0), "B/node");
+    std::remove(path.c_str());
 }
 
 TEST(Serialize, TreeSaveRequiresFit)

@@ -20,9 +20,11 @@
 
 #include <sys/resource.h>
 
+#include "memory_probe.hpp"
 #include "ml/predictor.hpp"
 #include "serve/server.hpp"
 #include "serve/session_manager.hpp"
+#include "workload/benchmarks.hpp"
 #include "workload/training.hpp"
 
 namespace gpupm::serve {
@@ -179,6 +181,38 @@ TEST(SessionManagerDeathTest, AllPinnedAtCapIsFatal)
     const auto id = mgr.create(tinyApp(14), fastSession());
     ASSERT_NE(mgr.checkout(id), nullptr);
     EXPECT_DEATH(mgr.create(tinyApp(15), fastSession()), "maxSessions");
+}
+
+TEST(Session, HeapDoesNotGrowWithDecisions)
+{
+    // A long-lived session keeps per-run totals, not a record per
+    // invocation: past its warm-up, its heap grows by a share of one
+    // run's totals per decision (about 15 B at 20 launches a run,
+    // counting the run vector's spare capacity), not by a 168-B
+    // KernelRecord each.
+    if (!test::kGlibcMalloc)
+        GTEST_SKIP() << test::kNotGlibcMalloc;
+    constexpr std::size_t warmup = 2000, measured = 20000;
+    auto app = workload::makeBenchmark("mandelbulbGPU");
+    SessionOptions opts;
+    opts.optimizedRuns = (warmup + measured) / app.trace.size() + 1;
+    Session session(1, std::move(app), sharedPredictor(), nullptr, opts,
+                    hw::paperApu());
+    for (std::size_t i = 0; i < warmup; ++i)
+        session.step();
+    const std::size_t before = test::heapBytesInUse();
+    for (std::size_t i = 0; i < measured; ++i)
+        session.step();
+    const std::size_t after = test::heapBytesInUse();
+    const double per_decision =
+        (static_cast<double>(after) - static_cast<double>(before)) /
+        static_cast<double>(measured);
+    EXPECT_LE(per_decision, 64.0)
+        << "heap grew "
+        << static_cast<long long>(after) - static_cast<long long>(before)
+        << " B over " << measured << " decisions";
+    EXPECT_EQ(session.completedRuns().size(),
+              (warmup + measured) / session.runLength());
 }
 
 TEST(FleetServer, ProcessesSubmittedRequests)

@@ -90,20 +90,20 @@ TEST(Trainer, DeterministicInSeed)
 TEST(Trainer, JobsByteIdenticalModel)
 {
     // The whole pipeline — dataset generation, both forest fits, OOB —
-    // must produce a byte-identical predictor at any job count.
+    // must produce byte-identical forests at any job count.
     TrainerOptions serial = smallOptions();
     serial.jobs = 1;
     TrainingReport serial_rep;
-    auto a = trainRandomForestPredictor(serial, &serial_rep);
+    const auto a = trainRandomForests(serial, &serial_rep);
 
     TrainerOptions parallel = smallOptions();
     parallel.jobs = 8;
     TrainingReport parallel_rep;
-    auto b = trainRandomForestPredictor(parallel, &parallel_rep);
+    const auto b = trainRandomForests(parallel, &parallel_rep);
 
     std::ostringstream sa, sb;
-    saveRandomForest(*a, sa);
-    saveRandomForest(*b, sb);
+    saveRandomForest(a, sa);
+    saveRandomForest(b, sb);
     EXPECT_EQ(sa.str(), sb.str());
     EXPECT_EQ(serial_rep.timeOobMapePct, parallel_rep.timeOobMapePct);
     EXPECT_EQ(serial_rep.powerOobMapePct, parallel_rep.powerOobMapePct);

@@ -381,7 +381,7 @@ cmdTrain(int argc, const char *const *argv)
     opts.jobs = static_cast<std::size_t>(std::max(0, flags.getInt("jobs")));
     ml::TrainingReport report;
     std::cout << "training on " << opts.corpusSize << " kernels...\n";
-    auto rf = ml::trainRandomForestPredictor(opts, &report);
+    const auto forests = ml::trainRandomForests(opts, &report);
     std::cout << "OOB time MAPE " << fmt(report.timeOobMapePct, 1)
               << "%, power MAPE " << fmt(report.powerOobMapePct, 1)
               << "% over " << report.datasetRows << " rows\n";
@@ -392,7 +392,7 @@ cmdTrain(int argc, const char *const *argv)
         std::cerr << "cannot write " << out << "\n";
         return 1;
     }
-    ml::saveRandomForest(*rf, os);
+    ml::saveRandomForest(forests, os);
     std::cout << "model saved to " << out << "\n";
     return 0;
 }
