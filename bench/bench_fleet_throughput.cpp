@@ -3,14 +3,15 @@
  * google-benchmark throughput study of the fleet decision server
  * (serve::runFleet) against the naive one-session-at-a-time baseline.
  *
- * The baseline disables the per-session kernel cache
- * (kernelCacheCap = 0, so every decision re-walks the forests through
- * the predictor's one-entry thread_local memo, which thrashes under
- * session interleaving) and runs one worker. The served configuration
- * is the server's default: per-session multi-kernel prediction memos,
- * misses walked by the deciding worker. Both run the identical fleet
- * workload and produce byte-identical traces (pinned by
- * test_fleet_determinism); only the decisions-per-second differ.
+ * The baseline disables each session's kernel memo (kernelCacheCap =
+ * 0, a passthrough, so every prediction a decision asks for walks both
+ * forests) and runs one worker. The served configuration is the
+ * server's default: a 32-entry kernel memo per session, misses walked
+ * by the deciding worker. Both run the identical fleet workload and
+ * produce byte-identical traces (the memo cap never changes a
+ * decision; FleetDeterminism.KernelMemoCapDoesNotChangeDecisions in
+ * test_fleet_determinism pins it); only the decisions-per-second
+ * differ.
  *
  * Two sharded studies ride on the same workload: BM_FleetSharded
  * splits the 64-session fleet's session managers over tenant-hash
@@ -94,8 +95,8 @@ report(benchmark::State &state, const serve::FleetResult &last,
 }
 
 /**
- * Naive serving: one worker steps sessions round-robin with no session
- * cache - what hosting N tenants on the raw predictor costs.
+ * Naive serving: one worker steps sessions round-robin with no kernel
+ * memo - what hosting N tenants on the raw predictor costs.
  */
 void
 BM_FleetNaiveSequential(benchmark::State &state)

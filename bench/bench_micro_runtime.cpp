@@ -22,6 +22,7 @@
 #include "harness.hpp"
 #include "kernel/perf_model.hpp"
 #include "ml/features.hpp"
+#include "ml/kernel_memo.hpp"
 #include "ml/serialize.hpp"
 #include "mpc/hill_climb.hpp"
 #include "mpc/pattern_extractor.hpp"
@@ -41,7 +42,7 @@ struct Fixture
         opts.configStride = 3;
         opts.forest.numTrees = 60;
         forests = ml::trainRandomForests(opts);
-        rf = std::make_unique<ml::RandomForestPredictor>(forests);
+        rf = std::make_shared<const ml::RandomForestPredictor>(forests);
         kernel = workload::trainingCorpus(1, 0x71e)[0];
         const auto c = hw::ConfigSpace::failSafe();
         const auto est = model.estimate(kernel, c);
@@ -56,7 +57,7 @@ struct Fixture
     ml::EnergyModel energy{hw::ApuParams::defaults()};
     /** The fitted forests rf was compiled from (scalar reference, save). */
     ml::TrainedForests forests;
-    std::unique_ptr<ml::RandomForestPredictor> rf;
+    std::shared_ptr<const ml::RandomForestPredictor> rf;
     kernel::KernelParams kernel;
     ml::PredictionQuery query;
     Seconds headroom = 0.0;
@@ -134,18 +135,19 @@ BM_BatchedForestInference(benchmark::State &state)
 BENCHMARK(BM_BatchedForestInference);
 
 /**
- * Predictor-level batch over the same 336 configs. Steady state for a
- * recurring kernel: every config is served from the per-kernel
- * prediction memo.
+ * Predictor-level batch over the same 336 configs through the kernel
+ * memo a governor owns. Steady state for a recurring kernel: every
+ * config is served from the kernel's prediction table.
  */
 void
 BM_PredictorBatchSteadyState(benchmark::State &state)
 {
     auto &f = fixture();
+    const ml::KernelMemo memo(f.rf, hw::paperApu());
     const auto &cfgs = f.space.all();
     std::vector<ml::Prediction> preds(cfgs.size());
     for (auto _ : state) {
-        f.rf->predictBatch(f.query, cfgs, preds);
+        memo.predictBatch(f.query, cfgs, preds);
         benchmark::DoNotOptimize(preds.data());
     }
     state.counters["configs"] = static_cast<double>(cfgs.size());
@@ -160,9 +162,10 @@ void
 BM_EnergyEstimate(benchmark::State &state)
 {
     auto &f = fixture();
+    const ml::KernelMemo memo(f.rf, hw::paperApu());
     const auto c = hw::ConfigSpace::maxPerformance();
     for (auto _ : state) {
-        benchmark::DoNotOptimize(f.energy.estimate(*f.rf, f.query, c));
+        benchmark::DoNotOptimize(f.energy.estimate(memo, f.query, c));
     }
 }
 BENCHMARK(BM_EnergyEstimate);
@@ -171,11 +174,12 @@ void
 BM_HillClimbDecision(benchmark::State &state)
 {
     auto &f = fixture();
+    const ml::KernelMemo memo(f.rf, hw::paperApu());
     mpc::HillClimbOptimizer climber(f.space, f.energy);
     std::size_t evals = 0;
     std::size_t unique = 0;
     for (auto _ : state) {
-        auto res = climber.optimize(*f.rf, f.query, f.headroom,
+        auto res = climber.optimize(memo, f.query, f.headroom,
                                     hw::ConfigSpace::failSafe());
         evals = res.evaluations;
         unique = res.uniqueEvaluations;
@@ -189,21 +193,22 @@ BENCHMARK(BM_HillClimbDecision);
 /**
  * A decision for a never-seen kernel: the counters change every
  * iteration, so every evaluation walks both forests instead of hitting
- * the per-kernel prediction memo. This is the MPC governor's
- * first-launch cost; BM_HillClimbDecision is its recurring-launch
- * cost.
+ * the kernel memo (which recycles its least-recently-used entry for
+ * each new kernel). This is the MPC governor's first-launch cost;
+ * BM_HillClimbDecision is its recurring-launch cost.
  */
 void
 BM_HillClimbDecisionColdKernel(benchmark::State &state)
 {
     auto &f = fixture();
+    const ml::KernelMemo memo(f.rf, hw::paperApu());
     mpc::HillClimbOptimizer climber(f.space, f.energy);
     auto q = f.query;
     for (auto _ : state) {
         // A new kernel identity per decision (any counter bit change
         // misses the kernel memo).
         q.counters.globalWorkSize += 1.0;
-        auto res = climber.optimize(*f.rf, q, f.headroom,
+        auto res = climber.optimize(memo, q, f.headroom,
                                     hw::ConfigSpace::failSafe());
         benchmark::DoNotOptimize(res);
     }
@@ -214,10 +219,11 @@ void
 BM_ExhaustiveScanDecision(benchmark::State &state)
 {
     auto &f = fixture();
+    const ml::KernelMemo memo(f.rf, hw::paperApu());
     const auto &cfgs = f.space.all();
     std::vector<ml::EnergyEstimate> ests(cfgs.size());
     for (auto _ : state) {
-        f.energy.estimateBatch(*f.rf, f.query, cfgs, ests);
+        f.energy.estimateBatch(memo, f.query, cfgs, ests);
         double best = 1e300;
         for (const auto &e : ests) {
             if (e.time <= f.headroom && e.energy < best)
@@ -231,7 +237,7 @@ BENCHMARK(BM_ExhaustiveScanDecision);
 
 /**
  * A PPK scan of a never-seen kernel: new counters every iteration, so
- * all 336 configs miss the per-kernel memo and both forests walk the
+ * all 336 configs miss the kernel memo and both forests walk the
  * whole scan (BM_ExhaustiveScanDecision times the memo hits of a
  * recurring kernel). The fixture's corpus-24/stride-3 model has
  * ~1.15k-node trees, about a tenth of the default `gpupm train`
@@ -241,12 +247,13 @@ void
 BM_ExhaustiveScanDecisionColdKernel(benchmark::State &state)
 {
     auto &f = fixture();
+    const ml::KernelMemo memo(f.rf, hw::paperApu());
     const auto &cfgs = f.space.all();
     std::vector<ml::EnergyEstimate> ests(cfgs.size());
     auto q = f.query;
     for (auto _ : state) {
         q.counters.globalWorkSize += 1.0;
-        f.energy.estimateBatch(*f.rf, q, cfgs, ests);
+        f.energy.estimateBatch(memo, q, cfgs, ests);
         double best = 1e300;
         for (const auto &e : ests) {
             if (e.time <= f.headroom && e.energy < best)

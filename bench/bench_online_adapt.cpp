@@ -7,7 +7,7 @@
  *
  *  1. Swap pause (BM_SessionPredictorMiss): publication is one pointer
  *     exchange under a lock held for nothing else, so a publish storm
- *     racing a session predictor's memo misses must not block
+ *     racing a session's kernel-memo misses must not block
  *     evaluation. The swapstorm:1 variant runs a thread republishing
  *     generations as fast as it can while the client evaluates; the
  *     blocked_evaluates counter - evaluations that took refit-scale
@@ -44,10 +44,10 @@
 
 #include "hw/config.hpp"
 #include "kernel/perf_model.hpp"
+#include "ml/forest_handle.hpp"
+#include "ml/kernel_memo.hpp"
 #include "ml/trainer.hpp"
-#include "online/forest_handle.hpp"
 #include "serve/server.hpp"
-#include "serve/session_predictor.hpp"
 #include "trace/decision.hpp"
 #include "workload/training.hpp"
 
@@ -87,18 +87,20 @@ altForest()
 }
 
 /**
- * Memo-miss latency of a handle-backed SessionPredictor, optionally
- * under a publish storm (state.range(0) != 0): every iteration clears
- * the cache, so predictBatch acquires a generation and walks all of
- * one kernel's kRows configs. Single client thread - the metric is
- * per-call latency of the miss path, not queueing effects.
+ * Memo-miss latency of a handle-backed KernelMemo (a fleet session's),
+ * optionally under a publish storm (state.range(0) != 0): every
+ * iteration clears the memo, so predictBatch acquires a generation and
+ * walks all of one kernel's kRows configs. The name predates the memo's
+ * move into ml and is kept so the committed baseline lines up. Single
+ * client thread - the metric is per-call latency of the miss path, not
+ * queueing effects.
  */
 void
 BM_SessionPredictorMiss(benchmark::State &state)
 {
     constexpr std::size_t kRows = 16;
-    online::ForestHandle handle(forest());
-    serve::SessionPredictor sp(forest(), &handle, hw::paperApu());
+    ml::ForestHandle handle(forest());
+    ml::KernelMemo memo(handle, hw::paperApu());
 
     const kernel::GroundTruthModel truth{hw::ApuParams::defaults()};
     const auto k = workload::trainingCorpus(1, 0xbe7cULL)[0];
@@ -133,8 +135,8 @@ BM_SessionPredictorMiss(benchmark::State &state)
     std::uint64_t blocked = 0;
     for (auto _ : state) {
         const auto t0 = std::chrono::steady_clock::now();
-        sp.clearCache();
-        sp.predictBatch(q, configs, out);
+        memo.clear();
+        memo.predictBatch(q, configs, out);
         const auto dt = std::chrono::steady_clock::now() - t0;
         // Refit-scale pause (a miss waiting out a retrain/publish):
         // must never happen. The bound is far above scheduler jitter on

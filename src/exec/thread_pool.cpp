@@ -1,7 +1,6 @@
 #include "exec/thread_pool.hpp"
 
 #include <atomic>
-#include <chrono>
 
 #include "common/logging.hpp"
 
@@ -77,8 +76,9 @@ ThreadPool::post(std::function<void()> task)
         target = (tl_pool == this)
                      ? tl_workerId
                      : (_nextQueue++ % _queues.size());
-    }
-    {
+        // Counted and pushed under _mutex: a sleeper that sees
+        // _queued > 0 finds the task in a queue.
+        ++_queued;
         std::lock_guard ql(_queues[target]->mutex);
         _queues[target]->tasks.push_back(std::move(task));
     }
@@ -116,6 +116,10 @@ ThreadPool::tryRunOne(std::size_t home)
     auto task = take(home);
     if (!task)
         return false;
+    {
+        std::lock_guard lock(_mutex);
+        --_queued;
+    }
     task();
     {
         std::lock_guard lock(_mutex);
@@ -134,13 +138,13 @@ ThreadPool::workerLoop(std::size_t id)
     for (;;) {
         if (tryRunOne(id))
             continue;
+        // post() counts a task under _mutex before it notifies, so a
+        // task published after our queue scan keeps this predicate
+        // true: no wake-up is missed, and an idle worker sleeps.
         std::unique_lock lock(_mutex);
+        _cv.wait(lock, [this] { return _stopping || _queued > 0; });
         if (_stopping)
             return;
-        // A task published between our queue scan and this wait would
-        // have signalled _cv before we held _mutex; the timeout bounds
-        // that benign race instead of a heavier pending counter.
-        _cv.wait_for(lock, std::chrono::milliseconds(2));
     }
 }
 
@@ -159,10 +163,10 @@ ThreadPool::parallelFor(std::size_t n,
     {
         std::atomic<std::size_t> next{0};
         std::atomic<bool> cancelled{false};
-        std::mutex mutex;
-        std::condition_variable cv;
-        std::size_t driversLeft = 0;
+        std::mutex mutex; ///< Guards firstError.
         std::exception_ptr firstError;
+        /** Posted drivers not yet finished; guarded by the pool's _mutex. */
+        std::size_t driversLeft = 0;
     };
     auto st = std::make_shared<ForState>();
 
@@ -187,32 +191,32 @@ ThreadPool::parallelFor(std::size_t n,
     const std::size_t helpers = std::min(threadCount(), n - 1);
     st->driversLeft = helpers;
     for (std::size_t k = 0; k < helpers; ++k) {
-        post([st, drive] {
+        post([this, st, drive] {
             drive();
-            std::lock_guard lock(st->mutex);
+            std::lock_guard lock(_mutex);
             if (--st->driversLeft == 0)
-                st->cv.notify_all();
+                _cv.notify_all();
         });
     }
 
     // The calling thread is a driver too, and while waiting for the
     // posted drivers it keeps executing pool tasks: parallelFor makes
     // progress even when every worker is busy (nested invocation from
-    // inside a pool task), so it cannot deadlock.
+    // inside a pool task), so it cannot deadlock. It sleeps on the
+    // workers' condition variable, which both a post() and the last
+    // driver's exit signal.
     drive();
     const std::size_t home = onWorkerThread() ? tl_workerId : 0;
     for (;;) {
         {
-            std::unique_lock lock(st->mutex);
+            std::unique_lock lock(_mutex);
+            _cv.wait(lock, [this, &st] {
+                return st->driversLeft == 0 || _queued > 0;
+            });
             if (st->driversLeft == 0)
                 break;
         }
-        if (!tryRunOne(home)) {
-            std::unique_lock lock(st->mutex);
-            if (st->driversLeft == 0)
-                break;
-            st->cv.wait_for(lock, std::chrono::milliseconds(2));
-        }
+        tryRunOne(home);
     }
     if (st->firstError)
         std::rethrow_exception(st->firstError);

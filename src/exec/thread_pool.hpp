@@ -114,8 +114,11 @@ class ThreadPool
 
     /** Sleep/wake coordination and shutdown flag. */
     std::mutex _mutex;
+    /** Signalled on post(), shutdown and a parallelFor's last driver. */
     std::condition_variable _cv;
     bool _stopping = false;
+    /** Tasks sitting in a queue, not yet taken (guarded by _mutex). */
+    std::size_t _queued = 0;
     /** Tasks posted but not yet finished (for drain-on-destroy). */
     std::size_t _inFlight = 0;
     std::condition_variable _idleCv;

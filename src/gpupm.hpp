@@ -39,8 +39,11 @@
 #include "workload/trace.hpp"
 #include "workload/training.hpp"
 
-// Predictors: the Random Forest, error models, serialization.
+// Predictors: the Random Forest, the governors' kernel memo and its
+// hot-swap handle, error models, serialization.
 #include "ml/error_model.hpp"
+#include "ml/forest_handle.hpp"
+#include "ml/kernel_memo.hpp"
 #include "ml/predictor.hpp"
 #include "ml/serialize.hpp"
 #include "ml/trainer.hpp"
@@ -67,11 +70,9 @@
 #include "powercap/arbiter.hpp"
 #include "powercap/thermal_governor.hpp"
 
-// Closed-loop online learning: drift detection, background retrains,
-// RCU forest hot-swap.
-#include "online/adaptive_predictor.hpp"
+// Closed-loop online learning: drift detection and background
+// retrains published through ml::ForestHandle.
 #include "online/drift.hpp"
-#include "online/forest_handle.hpp"
 #include "online/learner.hpp"
 
 // Observability: counters/histograms/power traces, span timelines

@@ -1,16 +1,16 @@
 /**
  * @file
- * RCU-style publication point for hot-swappable Random Forests (the
- * gpupm::online subsystem).
+ * RCU-style publication point for hot-swappable Random Forests.
  *
- * The online-learning loop retrains forests in the background while the
- * fleet server keeps serving predictions. The handle is the single
- * synchronization point between the two: a retrain publishes a new
- * immutable ForestGeneration by swapping one pointer, and readers (the
- * fleet's session predictors, the adaptive run-path predictor) acquire
- * a snapshot by copying it. Nobody waits for a refit - there is no
- * reader registration and no grace period to wait out; old generations
- * stay alive until the last shared_ptr drops.
+ * The online-learning loop (gpupm::online) retrains forests in the
+ * background while the fleet server keeps serving predictions. The
+ * handle is the single synchronization point between the two: a
+ * retrain publishes a new immutable ForestGeneration by swapping one
+ * pointer, and readers (the kernel memos of fleet sessions and of
+ * `gpupm run --online-learn`) acquire a snapshot by copying it. Nobody
+ * waits for a refit - there is no reader registration and no grace
+ * period to wait out; old generations stay alive until the last
+ * shared_ptr drops.
  *
  * The pointer sits behind a mutex held only for that swap or copy (one
  * reference-count update); the outgoing generation is released after
@@ -23,9 +23,8 @@
  * call and evaluates the whole call against that snapshot gets
  * results bit-identical to that generation's forests regardless of
  * concurrent publishes (the generation is immutable). Per-kernel memos
- * must be keyed by ordinal() so a swap invalidates them (see
- * serve::SessionPredictor); the hot-swap fuzz test pins both
- * properties.
+ * must be keyed by the generation's ordinal so a swap invalidates them
+ * (see KernelMemo); the hot-swap fuzz test pins both properties.
  */
 
 #pragma once
@@ -37,14 +36,14 @@
 
 #include "ml/trainer.hpp"
 
-namespace gpupm::online {
+namespace gpupm::ml {
 
 /** One immutable published forest generation. */
 struct ForestGeneration
 {
     /** Publication ordinal: 0 is the offline-trained baseline. */
     std::uint64_t ordinal = 0;
-    std::shared_ptr<const ml::RandomForestPredictor> predictor;
+    std::shared_ptr<const RandomForestPredictor> predictor;
 };
 
 /**
@@ -56,7 +55,7 @@ class ForestHandle
 {
   public:
     explicit ForestHandle(
-        std::shared_ptr<const ml::RandomForestPredictor> baseline)
+        std::shared_ptr<const RandomForestPredictor> baseline)
         : _current(std::make_shared<ForestGeneration>(
               ForestGeneration{0, std::move(baseline)}))
     {
@@ -86,7 +85,7 @@ class ForestHandle
      * snapshot are unaffected.
      */
     std::uint64_t
-    publish(std::shared_ptr<const ml::RandomForestPredictor> next)
+    publish(std::shared_ptr<const RandomForestPredictor> next)
     {
         auto g = std::make_shared<ForestGeneration>();
         g->predictor = std::move(next);
@@ -106,4 +105,4 @@ class ForestHandle
     std::shared_ptr<const ForestGeneration> _current;
 };
 
-} // namespace gpupm::online
+} // namespace gpupm::ml

@@ -1,8 +1,6 @@
 #include "ml/trainer.hpp"
 
-#include <atomic>
 #include <cmath>
-#include <cstring>
 
 #include "common/logging.hpp"
 #include "exec/sweep.hpp"
@@ -18,17 +16,6 @@ instructionProxy(const kernel::KernelCounters &c)
     return std::max(1.0, c.globalWorkSize * (c.valuInsts + c.vfetchInsts));
 }
 
-namespace {
-
-std::uint64_t
-nextPredictorInstanceId()
-{
-    static std::atomic<std::uint64_t> next{1};
-    return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-} // namespace
-
 RandomForestPredictor::RandomForestPredictor(const TrainedForests &forests)
     : RandomForestPredictor(FlatForest::compile(forests.time),
                             FlatForest::compile(forests.power))
@@ -37,8 +24,7 @@ RandomForestPredictor::RandomForestPredictor(const TrainedForests &forests)
 
 RandomForestPredictor::RandomForestPredictor(FlatForest time,
                                              FlatForest power)
-    : _timeFlat(std::move(time)), _powerFlat(std::move(power)),
-      _instanceId(nextPredictorInstanceId())
+    : _timeFlat(std::move(time)), _powerFlat(std::move(power))
 {
     GPUPM_ASSERT(_timeFlat.compiled() && _powerFlat.compiled(),
                  "predictor needs fitted forests");
@@ -48,10 +34,12 @@ Prediction
 RandomForestPredictor::predict(const PredictionQuery &q,
                                const hw::HwConfig &c) const
 {
-    Prediction p;
-    predictBatch(q, std::span<const hw::HwConfig>(&c, 1),
-                 std::span<Prediction>(&p, 1));
-    return p;
+    const auto f =
+        combineFeatures(makeKernelFeatures(q.counters), configFeatures(c));
+    // Trained on log(seconds per instruction); scale back up by the
+    // counter-derived instruction proxy.
+    return {std::exp(_timeFlat.predict(f)) * instructionProxy(q.counters),
+            _powerFlat.predict(f)};
 }
 
 void
@@ -70,37 +58,6 @@ RandomForestPredictor::predictRows(std::span<const FeatureVector> rows,
     _powerFlat.predictBatch(rows, gpu_power);
 }
 
-namespace {
-
-/**
- * One-entry per-kernel cache. A governor decision evaluates one kernel
- * against many configurations (sensitivity batch, climbing steps, or a
- * full PPK scan), and successive launches of the same kernel repeat the
- * same counters. Keyed on the raw counters (eight doubles,
- * padding-free) rather than the derived features, so a hit also skips
- * the log2-heavy makeKernelFeatures. thread_local: sweep workers each
- * run their own decisions.
- *
- * The entry memoizes finished predictions per dense config index: a
- * prediction is a pure function of (counters, config), and the MPC
- * premise is kernels relaunching with identical counters, so
- * steady-state decisions mostly re-request pairs already computed.
- * Memoized values are the values the forests produced, so hits are
- * bit-identical to recomputation. Misses walk the full forests; a
- * batch of one kernel's configs takes FlatForest's shared-prefix walk.
- */
-struct KernelMemo
-{
-    std::uint64_t owner = 0;       ///< instanceId of the owning predictor.
-    kernel::KernelCounters key{};  ///< Counters the entry belongs to.
-    KernelFeatures kf{};           ///< Derived prefix, computed once.
-    bool valid = false;
-    std::vector<Prediction> memo;     ///< By denseConfigIndex.
-    std::vector<std::uint8_t> known;  ///< Memo slot validity.
-};
-
-} // namespace
-
 void
 RandomForestPredictor::predictBatch(const PredictionQuery &q,
                                     std::span<const hw::HwConfig> cs,
@@ -111,83 +68,15 @@ RandomForestPredictor::predictBatch(const PredictionQuery &q,
     const std::size_t n = cs.size();
     if (n == 0)
         return;
-    trace::Span span(trace::Category::Ml, "ml.predictBatch", "configs",
-                     static_cast<double>(n));
-
+    const auto kf = makeKernelFeatures(q.counters);
+    std::vector<FeatureVector> rows(n);
+    for (std::size_t i = 0; i < n; ++i)
+        rows[i] = combineFeatures(kf, configFeatures(cs[i]));
+    std::vector<double> time_log(n), gpu_power(n);
+    predictRows(rows, time_log, gpu_power);
     const double proxy = instructionProxy(q.counters);
-
-    // Per-kernel cache entry, claimed by any multi-config batch (a
-    // governor decision). memcmp keys on the exact counter bits, so a
-    // hit also skips the log2-heavy makeKernelFeatures. A one-off
-    // single query with a cold cache (model evaluation sweeps) walks
-    // the full forests directly and leaves the entry alone.
-    thread_local KernelMemo cache;
-    bool entry =
-        cache.valid && cache.owner == _instanceId &&
-        std::memcmp(&q.counters, &cache.key, sizeof(cache.key)) == 0;
-    if (!entry && n >= 2) {
-        cache.valid = false; // not reusable while rebuilding
-        cache.owner = _instanceId;
-        cache.key = q.counters;
-        cache.kf = makeKernelFeatures(q.counters);
-        cache.memo.resize(hw::denseConfigCount);
-        cache.known.assign(hw::denseConfigCount, 0);
-        cache.valid = true;
-        entry = true;
-    }
-
-    // Scratch buffers are thread_local so the hot path never allocates
-    // once warm (governors run one decision at a time per thread).
-    thread_local std::vector<FeatureVector> feats;
-    thread_local std::vector<double> time_pred, power_pred;
-
-    if (!entry) {
-        // Cold single query (n >= 2 always claims the entry). Routed
-        // through the flat engines - not the scalar recursive walk -
-        // like the batched paths, and bit-identical to the recursive
-        // walk: a prediction is a pure function of (counters, config),
-        // never of cache state.
-        const auto kf = makeKernelFeatures(q.counters);
-        for (std::size_t i = 0; i < n; ++i) {
-            const auto f = combineFeatures(kf, configFeatures(cs[i]));
-            // Trained on log(seconds per instruction); scale back up
-            // by the counter-derived instruction proxy.
-            out[i].time = std::exp(_timeFlat.predict(f)) * proxy;
-            out[i].gpuPower = _powerFlat.predict(f);
-        }
-        return;
-    }
-
-    // Serve memoized configs; walk forests only for the rest.
-    thread_local std::vector<std::uint32_t> miss;
-    miss.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto di = hw::denseConfigIndex(cs[i]);
-        if (cache.known[di])
-            out[i] = cache.memo[di];
-        else
-            miss.push_back(static_cast<std::uint32_t>(i));
-    }
-    if (miss.empty())
-        return;
-
-    const std::size_t m = miss.size();
-    feats.resize(m);
-    time_pred.resize(m);
-    power_pred.resize(m);
-    for (std::size_t j = 0; j < m; ++j)
-        feats[j] = combineFeatures(cache.kf, configFeatures(cs[miss[j]]));
-    _timeFlat.predictBatch(feats, time_pred);
-    _powerFlat.predictBatch(feats, power_pred);
-    for (std::size_t j = 0; j < m; ++j) {
-        const std::size_t i = miss[j];
-        Prediction p;
-        p.time = std::exp(time_pred[j]) * proxy;
-        p.gpuPower = power_pred[j];
-        out[i] = p;
-        cache.memo[hw::denseConfigIndex(cs[i])] = p;
-        cache.known[hw::denseConfigIndex(cs[i])] = 1;
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = {std::exp(time_log[i]) * proxy, gpu_power[i]};
 }
 
 TrainedForests

@@ -49,9 +49,10 @@ struct TrainedForests
  * compiled from trained forests or loaded from a saved model; all
  * inference - scalar and batched - runs on the flat engine, with the
  * kernel-feature prefix computed once per query and the config suffix
- * served from the precomputed table. Results are bit-identical to
- * RandomForest::predict on makeFeatures rows of the forests the arenas
- * came from.
+ * served from the paper model's precomputed table. Results are
+ * bit-identical to RandomForest::predict on makeFeatures rows of the
+ * forests the arenas came from. The predictor is stateless; governors
+ * put a KernelMemo in front of it (ml/kernel_memo.hpp).
  */
 class RandomForestPredictor : public PerfPowerPredictor
 {
@@ -72,9 +73,9 @@ class RandomForestPredictor : public PerfPowerPredictor
     /**
      * Raw forest outputs for prebuilt feature rows, which may mix
      * different kernels in one batch. predictBatch builds its rows from
-     * the paper model's config features; serve::SessionPredictor builds
-     * its own (its session's hardware model's config descriptors) and
-     * walks only its memo misses through here. Each row is
+     * the paper model's config features; KernelMemo builds its own
+     * (its owner's hardware model's config descriptors) and walks only
+     * its misses through here. Each row is
      * combineFeatures(makeKernelFeatures(counters),
      * configFeatures(config)); time_log[i] receives the time forest's
      * log(seconds-per-instruction) output (callers scale by
@@ -94,19 +95,9 @@ class RandomForestPredictor : public PerfPowerPredictor
     const FlatForest &timeFlat() const { return _timeFlat; }
     const FlatForest &powerFlat() const { return _powerFlat; }
 
-    /**
-     * Process-unique identity of this predictor instance. Caches keyed
-     * on the predictor (the per-thread kernel memo) must use
-     * this rather than the object address: online retraining destroys
-     * predictors and allocates replacements, and a recycled address
-     * would validate a stale cache entry against the new forests.
-     */
-    std::uint64_t instanceId() const { return _instanceId; }
-
   private:
     FlatForest _timeFlat;
     FlatForest _powerFlat;
-    std::uint64_t _instanceId;
 };
 
 /** Training configuration. */

@@ -7,6 +7,7 @@
 
 #include "common/logging.hpp"
 #include "kernel/counters.hpp"
+#include "ml/kernel_memo.hpp"
 #include "trace/trace.hpp"
 
 namespace gpupm::mpc {
@@ -21,7 +22,8 @@ constexpr std::size_t cfgsNone = static_cast<std::size_t>(-1);
 MpcGovernor::MpcGovernor(
     std::shared_ptr<const ml::PerfPowerPredictor> predictor,
     const MpcOptions &opts, hw::HardwareModelPtr model)
-    : _predictor(std::move(predictor)), _opts(opts),
+    : _predictor(ml::KernelMemo::wrap(std::move(predictor), model)),
+      _opts(opts),
       _model(std::move(model)), _energy(_model->params()),
       _ownedSpace(opts.searchSpace
                       ? std::optional<hw::ConfigSpace>(

@@ -93,6 +93,9 @@ class MpcGovernor : public sim::Governor
   public:
     /**
      * @param predictor Performance/power predictor (not owned shared).
+     *        A bare RandomForestPredictor is wrapped in the governor's
+     *        own ml::KernelMemo, which the inner PPK shares; any other
+     *        predictor (a memo already, an oracle) is used as given.
      * @param opts Options (QoS, horizon mode, overhead model).
      * @param model Hardware model governed: search space, fail-safe and
      *              race anchors, energy-model parameters.

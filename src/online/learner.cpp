@@ -10,7 +10,7 @@
 
 namespace gpupm::online {
 
-OnlineLearner::OnlineLearner(ForestHandle &handle,
+OnlineLearner::OnlineLearner(ml::ForestHandle &handle,
                              const OnlineOptions &opts,
                              trace::DecisionSink *inner,
                              telemetry::Registry *telemetry)

@@ -40,9 +40,9 @@
 #include <vector>
 
 #include "exec/thread_pool.hpp"
+#include "ml/forest_handle.hpp"
 #include "ml/random_forest.hpp"
 #include "online/drift.hpp"
-#include "online/forest_handle.hpp"
 #include "telemetry/telemetry.hpp"
 #include "trace/decision.hpp"
 
@@ -95,7 +95,7 @@ class OnlineLearner : public trace::DecisionSink
      *        unchanged. May be null.
      * @param telemetry Registry for online.* counters. May be null.
      */
-    OnlineLearner(ForestHandle &handle, const OnlineOptions &opts,
+    OnlineLearner(ml::ForestHandle &handle, const OnlineOptions &opts,
                   trace::DecisionSink *inner = nullptr,
                   telemetry::Registry *telemetry = nullptr);
 
@@ -122,7 +122,7 @@ class OnlineLearner : public trace::DecisionSink
     void retrain(std::uint64_t trigger_ordinal,
                  std::vector<Row> rows);
 
-    ForestHandle &_handle;
+    ml::ForestHandle &_handle;
     const OnlineOptions _opts;
     trace::DecisionSink *const _inner;
     telemetry::Counter *_ctrTriggers = nullptr;

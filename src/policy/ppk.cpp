@@ -4,13 +4,15 @@
 #include <vector>
 
 #include "common/logging.hpp"
+#include "ml/kernel_memo.hpp"
 
 namespace gpupm::policy {
 
 PpkGovernor::PpkGovernor(
     std::shared_ptr<const ml::PerfPowerPredictor> predictor,
     const PpkOptions &opts, hw::HardwareModelPtr model)
-    : _predictor(std::move(predictor)), _opts(opts),
+    : _predictor(ml::KernelMemo::wrap(std::move(predictor), model)),
+      _opts(opts),
       _model(std::move(model)), _energy(_model->params()),
       _ownedSpace(opts.searchSpace
                       ? std::optional<hw::ConfigSpace>(

@@ -40,6 +40,8 @@ class PpkGovernor : public sim::Governor
   public:
     /**
      * @param predictor Performance/power predictor (not owned shared).
+     *        A bare RandomForestPredictor is wrapped in the governor's
+     *        own ml::KernelMemo; any other predictor is used as given.
      * @param opts Options.
      * @param model Hardware model governed (search space, fail-safe
      *              anchor, energy-model parameters).

@@ -227,7 +227,7 @@ runFleet(std::shared_ptr<const ml::PerfPowerPredictor> predictor,
     // The handle is declared before the server because the server (and
     // every session memo inside it) reads generations from it for its
     // whole lifetime.
-    std::optional<online::ForestHandle> handle;
+    std::optional<ml::ForestHandle> handle;
     if (opts.onlineLearn) {
         auto rf =
             std::dynamic_pointer_cast<const ml::RandomForestPredictor>(

@@ -10,8 +10,8 @@
  * tenant hash, each owning its own SessionManager, so checkout-lease
  * acquisition never crosses shards (the former global manager lock
  * was the fleet's serialization point). A worker walks its decision's
- * memo misses itself (SessionPredictor); nothing batches across
- * sessions.
+ * memo misses itself (each session's ml::KernelMemo); nothing batches
+ * across sessions.
  *
  * Identity is global: session ids come from one server-wide counter,
  * so a tenant's id - and therefore its per-session RNG stream and
@@ -83,11 +83,12 @@ struct FleetServerOptions
     /**
      * Hot-swap publication point for online learning; null = static
      * forests. When set, the predictor handed to the server must be
-     * the handle's generation-0 (baseline) Random Forest; each session
-     * predictor call serves the generation it acquires, and session
-     * memos are generation-keyed. Must outlive the server.
+     * the handle's generation-0 (baseline) Random Forest; each call
+     * into a session's kernel memo serves the generation it acquires,
+     * and the memo's tables are generation-keyed. Must outlive the
+     * server.
      */
-    const online::ForestHandle *forestHandle = nullptr;
+    const ml::ForestHandle *forestHandle = nullptr;
     /**
      * Fleet power-cap arbitration; disabled unless
      * powercap.budgetWatts > 0. Sessions register their baseline

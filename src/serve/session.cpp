@@ -13,12 +13,11 @@ namespace gpupm::serve {
 
 Session::Session(SessionId id, workload::Application app,
                  std::shared_ptr<const ml::PerfPowerPredictor> base,
-                 const online::ForestHandle *handle,
+                 const ml::ForestHandle *handle,
                  const SessionOptions &opts, hw::HardwareModelPtr model,
                  telemetry::Registry *telemetry,
                  powercap::FleetCapArbiter *arbiter)
-    : _id(id), _app(std::move(app)), _base(std::move(base)),
-      _forestHandle(handle), _opts(opts),
+    : _id(id), _app(std::move(app)), _opts(opts),
       _model(std::move(model)), _telemetry(telemetry),
       _arbiter(arbiter), _thermalCap(opts.thermalCap),
       _apu(_model->params())
@@ -55,7 +54,26 @@ Session::Session(SessionId id, workload::Application app,
         _telemetry
             ->counter("serve.model." + _model->name() + ".sessions")
             .add(1);
+        _memoHits = &_telemetry->counter("serve.cache_hit_queries");
+        _memoMisses = &_telemetry->counter("serve.cache_miss_queries");
+        _memoEvictions = &_telemetry->counter("serve.kernel_evictions");
     }
+
+    // The session's kernel memo serves the hot-swap handle's current
+    // generation under online learning and the shared forest
+    // otherwise. Oracle-family predictors consult ground truth, so
+    // counters are not a safe key for them: they are used as given.
+    auto rf =
+        std::dynamic_pointer_cast<const ml::RandomForestPredictor>(base);
+    if (handle) {
+        _memo = std::make_shared<ml::KernelMemo>(*handle, _model,
+                                                 _opts.kernelCacheCap);
+    } else if (rf) {
+        _memo = std::make_shared<ml::KernelMemo>(std::move(rf), _model,
+                                                 _opts.kernelCacheCap);
+    }
+    _predictor = _memo ? _memo : std::move(base);
+    GPUPM_ASSERT(_predictor != nullptr, "session needs a predictor");
 
     reset();
 }
@@ -69,10 +87,8 @@ Session::~Session()
 void
 Session::reset()
 {
-    SessionPredictorOptions popts;
-    popts.kernelCacheCap = _opts.kernelCacheCap;
-    _predictor = std::make_shared<SessionPredictor>(
-        _base, _forestHandle, _model, popts, _telemetry);
+    if (_memo)
+        _memo->clear();
     _governor = std::make_unique<mpc::MpcGovernor>(_predictor, _opts.mpc,
                                                    _model);
     _governor->setDecisionCallback(
@@ -87,6 +103,19 @@ Session::reset()
     _platformConfig.reset();
     _thermalCap.reset();
     _apu.reset();
+}
+
+void
+Session::publishMemoStats()
+{
+    const auto &s = _memo->stats();
+    if (s.hitQueries != _memoPublished.hitQueries)
+        _memoHits->add(s.hitQueries - _memoPublished.hitQueries);
+    if (s.missQueries != _memoPublished.missQueries)
+        _memoMisses->add(s.missQueries - _memoPublished.missQueries);
+    if (s.evictions != _memoPublished.evictions)
+        _memoEvictions->add(s.evictions - _memoPublished.evictions);
+    _memoPublished = s;
 }
 
 void
@@ -244,6 +273,8 @@ Session::step(bool degraded)
     if (_capSlot != nullptr)
         _arbiter->report(_capSlot, out.measuredPower, enforced_cap);
     _thermalCap.update(_apu.thermal().temperature());
+    if (_memo && _telemetry)
+        publishMemoStats();
 
     _current.kernelTime += rec.kernelTime;
     _current.overheadTime += rec.overheadTime;

@@ -6,12 +6,14 @@
  * A session owns everything one tenant of the fleet server needs: its
  * application trace, its modeled APU (thermal state and platform DVFS
  * config advance within a run), its MpcGovernor (pattern extractor,
- * performance tracker, hill-climb optimizer), and its SessionPredictor
- * (per-kernel prediction cache in front of the shared forests). Nothing
- * is shared mutably between sessions except telemetry (internally
- * synchronized), so sessions are isolated: one session's decisions are
- * bit-identical regardless of what other sessions run - the foundation
- * of the deterministic fleet mode.
+ * performance tracker, hill-climb optimizer), and its kernel memo
+ * (ml::KernelMemo: per-kernel prediction tables in front of the shared
+ * forests, built with the session's cap, hardware model and hot-swap
+ * handle, whose counts it publishes to telemetry after every step).
+ * Nothing is shared mutably between sessions except telemetry
+ * (internally synchronized), so sessions are isolated: one session's
+ * decisions are bit-identical regardless of what other sessions run -
+ * the foundation of the deterministic fleet mode.
  *
  * step() executes exactly one invocation of the Simulator::run loop
  * body - decide, charge host phase and overhead, reconfigure, run the
@@ -32,11 +34,12 @@
 #include <vector>
 
 #include "kernel/apu.hpp"
+#include "ml/kernel_memo.hpp"
 #include "mpc/governor.hpp"
 #include "powercap/arbiter.hpp"
 #include "powercap/thermal_governor.hpp"
-#include "serve/session_predictor.hpp"
 #include "sim/simulator.hpp"
+#include "telemetry/telemetry.hpp"
 #include "workload/trace.hpp"
 
 namespace gpupm::serve {
@@ -50,8 +53,8 @@ struct SessionOptions
     mpc::MpcOptions mpc;
     /** MPC-optimized runs after the PPK profiling run. */
     std::size_t optimizedRuns = 2;
-    /** LRU cap on the session's per-kernel prediction cache. */
-    std::size_t kernelCacheCap = 32;
+    /** LRU cap on the session's kernel memo; 0 = passthrough. */
+    std::size_t kernelCacheCap = ml::KernelMemo::defaultCap;
     /** Priority weight for the arbiter's weighted split policy. */
     double capWeight = 1.0;
     /** Reactive thermal cap governor (disabled by default). */
@@ -103,12 +106,15 @@ class Session
      * @param id Server-assigned identity, stamped into records.
      * @param app Application trace (the Turbo Core baseline run that
      *        sets the MPC performance target happens here, once).
-     * @param base Shared predictor backing the session's governor.
+     * @param base Shared predictor backing the session's governor; a
+     *        Random Forest is served through the session's kernel
+     *        memo, any other predictor as given.
      * @param handle Hot-swap publication point for online learning;
-     *        null = static forests.
+     *        null = static forests. When set, the memo serves the
+     *        handle's current generation instead of @p base.
      * @param model Hardware model this session runs on (explicit; a
      *        heterogeneous fleet mixes models across sessions).
-     * @param telemetry Registry for cache metrics; may be null.
+     * @param telemetry Registry for memo metrics; may be null.
      * @param arbiter Fleet cap arbiter; null = no fleet budget. The
      *        session registers itself with its Turbo-baseline mean
      *        power as demand, its model's capFloorWatts as floor, and
@@ -116,7 +122,7 @@ class Session
      */
     Session(SessionId id, workload::Application app,
             std::shared_ptr<const ml::PerfPowerPredictor> base,
-            const online::ForestHandle *handle,
+            const ml::ForestHandle *handle,
             const SessionOptions &opts, hw::HardwareModelPtr model,
             telemetry::Registry *telemetry = nullptr,
             powercap::FleetCapArbiter *arbiter = nullptr);
@@ -181,8 +187,6 @@ class Session
      */
     void reset();
 
-    const SessionPredictor &predictor() const { return *_predictor; }
-
     /** Turbo-baseline mean chip power (the arbiter's demand signal). */
     Watts baselinePower() const { return _baselinePower; }
 
@@ -197,11 +201,10 @@ class Session
 
   private:
     void beginRun();
+    void publishMemoStats();
 
     SessionId _id;
     workload::Application _app;
-    std::shared_ptr<const ml::PerfPowerPredictor> _base;
-    const online::ForestHandle *_forestHandle;
     SessionOptions _opts;
     hw::HardwareModelPtr _model;
     telemetry::Registry *_telemetry;
@@ -214,7 +217,15 @@ class Session
     powercap::FleetCapArbiter *_arbiter = nullptr;
     powercap::SessionCap *_capSlot = nullptr;
     powercap::ThermalCapGovernor _thermalCap;
-    std::shared_ptr<SessionPredictor> _predictor;
+    /** What the governor scores with: the memo, or a non-RF base. */
+    std::shared_ptr<const ml::PerfPowerPredictor> _predictor;
+    /** The session's kernel memo; null for a non-RF base. */
+    std::shared_ptr<ml::KernelMemo> _memo;
+    /** Memo counts already added to telemetry. */
+    ml::KernelMemo::Stats _memoPublished;
+    telemetry::Counter *_memoHits = nullptr;
+    telemetry::Counter *_memoMisses = nullptr;
+    telemetry::Counter *_memoEvictions = nullptr;
     std::unique_ptr<mpc::MpcGovernor> _governor;
     kernel::Apu _apu;
     std::optional<hw::HwConfig> _platformConfig;

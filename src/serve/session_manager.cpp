@@ -8,7 +8,7 @@ namespace gpupm::serve {
 
 SessionManager::SessionManager(
     std::shared_ptr<const ml::PerfPowerPredictor> base,
-    const online::ForestHandle *handle,
+    const ml::ForestHandle *handle,
     const SessionManagerOptions &opts, hw::HardwareModelPtr model,
     telemetry::Registry *telemetry, powercap::FleetCapArbiter *arbiter)
     : _base(std::move(base)), _forestHandle(handle), _opts(opts),

@@ -2,16 +2,17 @@
  * @file
  * Session lifecycle: create / checkout / reset / evict with an LRU cap.
  *
- * The manager bounds fleet memory: each session carries dense per-kernel
- * prediction memos (kernelCacheCap * denseConfigCount predictions), so
- * an unbounded tenant count would grow without limit. When a create
+ * The manager bounds fleet memory: each session carries a kernel memo
+ * of up to kernelCacheCap dense per-config prediction tables
+ * (ml::KernelMemo), so an unbounded tenant count would grow without
+ * limit. When a create
  * would exceed maxSessions the least-recently-used *idle* session is
  * evicted (checked-out sessions are pinned; evicting a session mid-step
  * would pull state out from under a worker).
  *
  * checkout()/checkin() give workers exclusive access: a session is
  * processed by one worker at a time, which is what lets Session and
- * SessionPredictor stay lock-free internally. The manager itself is
+ * its kernel memo stay lock-free internally. The manager itself is
  * thread-safe.
  */
 
@@ -47,7 +48,7 @@ class SessionManager
      *        no fleet budget.
      */
     SessionManager(std::shared_ptr<const ml::PerfPowerPredictor> base,
-                   const online::ForestHandle *handle,
+                   const ml::ForestHandle *handle,
                    const SessionManagerOptions &opts,
                    hw::HardwareModelPtr model,
                    telemetry::Registry *telemetry = nullptr,
@@ -105,7 +106,7 @@ class SessionManager
     void evictLruLocked();
 
     std::shared_ptr<const ml::PerfPowerPredictor> _base;
-    const online::ForestHandle *_forestHandle;
+    const ml::ForestHandle *_forestHandle;
     SessionManagerOptions _opts;
     hw::HardwareModelPtr _model;
     telemetry::Registry *_telemetry;

@@ -273,6 +273,42 @@ TEST(FleetDeterminism, CappedFleetIsByteIdenticalAcrossShardsAndJobs)
     }
 }
 
+TEST(FleetDeterminism, KernelMemoCapDoesNotChangeDecisions)
+{
+    // The kernel memo caches forest outputs, never choices, and the
+    // forests evaluate rows independently: a session's cap (0 = every
+    // prediction walks the forests) may change its cost, never a byte
+    // of its trace - uncapped or under a fleet power budget, where the
+    // per-session cap moves between decisions.
+    for (const Watts budget : {0.0, 120.0}) {
+        SCOPED_TRACE(testing::Message() << "budget=" << budget);
+        std::string reference;
+        for (const std::size_t cap : {32ul, 1ul, 0ul}) {
+            auto opts = goldenFleet(4);
+            opts.server.powercap.budgetWatts = budget;
+            opts.session.kernelCacheCap = cap;
+            const auto result = runFleet(forest(), opts);
+            const std::string text = serializeFleetTrace(result.trace);
+            if (cap == 32)
+                reference = text;
+            EXPECT_EQ(reference, text) << "trace drifted at cap " << cap;
+            // The sessions publish their memo counts to telemetry.
+            const auto &c = result.metrics.counters;
+            ASSERT_TRUE(c.count("serve.cache_hit_queries"));
+            ASSERT_TRUE(c.count("serve.cache_miss_queries"));
+            if (cap == 0) {
+                EXPECT_EQ(c.at("serve.cache_hit_queries"), 0u);
+                EXPECT_EQ(c.at("serve.cache_miss_queries"), 0u);
+            } else {
+                EXPECT_GT(c.at("serve.cache_hit_queries"), 0u);
+                EXPECT_GT(c.at("serve.cache_miss_queries"), 0u);
+            }
+            if (cap == 1)
+                EXPECT_GT(c.at("serve.kernel_evictions"), 0u);
+        }
+    }
+}
+
 TEST(FleetDeterminism, UncappedFleetKeepsItsGoldenBytes)
 {
     // Running through the powercap-aware code paths with the arbiter

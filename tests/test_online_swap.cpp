@@ -3,9 +3,9 @@
  * Hot-swap fuzz suite for the RCU forest-publication path (run it under
  * TSan via tools/run_sanitizers.sh). N reader threads hammer
  * predictions - both directly through a ForestHandle and through
- * memoizing SessionPredictors - while a writer publishes new
+ * handle-backed kernel memos - while a writer publishes new
  * generations as fast as it can. The pinned invariant: every evaluated
- * batch, and every SessionPredictor::predictBatch call, is
+ * batch, and every KernelMemo::predictBatch call, is
  * bit-identical to *exactly one* generation's forests; a concurrent
  * publish may decide which generation serves a call but can never mix
  * two inside one, corrupt a result, or make a reader wait for a refit.
@@ -26,19 +26,22 @@
 #include "hw/config.hpp"
 #include "hw/model.hpp"
 #include "kernel/counters.hpp"
+#include "ml/forest_handle.hpp"
+#include "ml/kernel_memo.hpp"
 #include "ml/trainer.hpp"
-#include "online/forest_handle.hpp"
 #include "online/learner.hpp"
-#include "serve/session_predictor.hpp"
 #include "telemetry/telemetry.hpp"
 #include "trace/decision.hpp"
 
 namespace gpupm::online {
 namespace {
 
+using ml::ForestGeneration;
+using ml::ForestHandle;
+
 constexpr std::size_t kGenerations = 4;
 constexpr std::size_t kProbeRows = 8;
-/** Configs the SessionPredictor tests score for their one kernel. */
+/** Configs the kernel-memo tests score for their one kernel. */
 constexpr std::size_t kConfigs = 96;
 
 /** Distinct tiny predictor per generation (seed- and target-shifted). */
@@ -241,15 +244,15 @@ TEST(OnlineSwapFuzz, HandleReadersSeeExactlyOneGenerationPerBatch)
 }
 
 /**
- * Same invariant through memoizing session predictors: each reader owns
- * a SessionPredictor on the shared handle and scores sliding windows of
- * one kernel's configs, so most calls serve some configs from the memo
- * and walk the rest, while the writer republishes until every reader
- * is done. The whole output of every call must equal exactly one
- * generation's RandomForestPredictor::predictBatch output - memo hits
- * and walked rows never straddle a swap.
+ * Same invariant through kernel memos: each reader owns a KernelMemo
+ * on the shared handle and scores sliding windows of one kernel's
+ * configs, so most calls serve some configs from the memo and walk the
+ * rest, while the writer republishes until every reader is done. The
+ * whole output of every call must equal exactly one generation's
+ * RandomForestPredictor::predictBatch output - memo hits and walked
+ * rows never straddle a swap.
  */
-TEST(OnlineSwapFuzz, SessionPredictorCallsServeExactlyOneGeneration)
+TEST(OnlineSwapFuzz, KernelMemoCallsServeExactlyOneGeneration)
 {
     auto &fx = fixture();
     constexpr std::size_t kReaders = 4;
@@ -264,15 +267,14 @@ TEST(OnlineSwapFuzz, SessionPredictorCallsServeExactlyOneGeneration)
     std::vector<std::thread> readers;
     for (std::size_t t = 0; t < kReaders; ++t) {
         readers.emplace_back([&, t] {
-            serve::SessionPredictor sp(fx.gens[0], &handle,
-                                       hw::paperApu());
+            ml::KernelMemo memo(handle, hw::paperApu());
             std::vector<ml::Prediction> out(kWindow);
             while (!start.load(std::memory_order_acquire)) {
             }
             for (std::size_t i = 0; i < kIterations; ++i) {
                 const std::size_t first =
                     (11 * i + 13 * t) % (kConfigs - kWindow + 1);
-                sp.predictBatch(
+                memo.predictBatch(
                     fx.query,
                     std::span(fx.configs).subspan(first, kWindow), out);
                 if (fx.matchingGenerations(first, out) != 1)
@@ -301,40 +303,38 @@ TEST(OnlineSwapFuzz, SessionPredictorCallsServeExactlyOneGeneration)
     EXPECT_EQ(handle.ordinal(), publishes);
 }
 
-TEST(OnlineSwap, SessionPredictorServesTheCurrentGeneration)
+TEST(OnlineSwap, KernelMemoServesTheCurrentGeneration)
 {
     // A call after a publish serves the new generation throughout:
     // configs it memoized under the old one are walked again, not
     // replayed beside freshly walked ones.
     auto &fx = fixture();
     ForestHandle handle(fx.gens[0]);
-    serve::SessionPredictor sp(fx.gens[0], &handle, hw::paperApu());
+    ml::KernelMemo memo(handle, hw::paperApu());
     std::vector<ml::Prediction> out(48);
-    sp.predictBatch(fx.query, std::span(fx.configs).first(48), out);
+    memo.predictBatch(fx.query, std::span(fx.configs).first(48), out);
     EXPECT_EQ(fx.matchingGenerations(0, out), 1u);
     EXPECT_EQ(out[0].time, fx.predicted[0][0].time);
 
     handle.publish(fx.gens[1]);
-    sp.predictBatch(fx.query, std::span(fx.configs).subspan(24, 48), out);
+    memo.predictBatch(fx.query, std::span(fx.configs).subspan(24, 48),
+                      out);
     EXPECT_EQ(fx.matchingGenerations(24, out), 1u);
     EXPECT_EQ(out[0].time, fx.predicted[1][24].time);
     EXPECT_EQ(out[47].gpuPower, fx.predicted[1][71].gpuPower);
 }
 
-TEST(OnlineSwap, CacheDisabledSessionPredictorFollowsTheHandle)
+TEST(OnlineSwap, CacheDisabledKernelMemoFollowsTheHandle)
 {
-    // kernelCacheCap 0 turns the decorator into a passthrough; under
-    // hot-swap it must still pass through to the current generation,
-    // not to the baseline forests it was built with.
+    // Cap 0 turns the memo into a passthrough; under hot-swap it must
+    // still pass through to the current generation, not to the
+    // baseline forests the handle started with.
     auto &fx = fixture();
     ForestHandle handle(fx.gens[0]);
-    serve::SessionPredictorOptions opts;
-    opts.kernelCacheCap = 0;
-    serve::SessionPredictor sp(fx.gens[0], &handle, hw::paperApu(), opts);
-    ASSERT_FALSE(sp.accelerated());
+    ml::KernelMemo memo(handle, hw::paperApu(), /*cap=*/0);
     handle.publish(fx.gens[2]);
     std::vector<ml::Prediction> out(kConfigs);
-    sp.predictBatch(fx.query, fx.configs, out);
+    memo.predictBatch(fx.query, fx.configs, out);
     EXPECT_EQ(fx.matchingGenerations(0, out), 1u);
     EXPECT_EQ(out[5].time, fx.predicted[2][5].time);
     EXPECT_EQ(out[5].gpuPower, fx.predicted[2][5].gpuPower);
@@ -482,14 +482,14 @@ TEST(OnlineLearner, RefitsAreDeterministic)
         published.push_back(handle.acquire());
     }
     // Same record stream, same seed derivation: bit-identical refits
-    // from genuinely fresh predictor objects (instanceId, not the
-    // address - the allocator recycles addresses across refits, which
-    // is the very ABA hazard generation caches must survive).
+    // from genuinely fresh predictor objects. Both published
+    // generations are alive here, so distinct addresses mean distinct
+    // objects (memos key their tables on the generation ordinal, never
+    // on an address the allocator may recycle).
     EXPECT_TRUE(outputs[0] == outputs[1]);
-    EXPECT_NE(published[0]->predictor->instanceId(),
-              published[1]->predictor->instanceId());
-    EXPECT_NE(published[0]->predictor->instanceId(),
-              fx.gens[0]->instanceId());
+    EXPECT_NE(published[0]->predictor.get(),
+              published[1]->predictor.get());
+    EXPECT_NE(published[0]->predictor.get(), fx.gens[0].get());
 }
 
 } // namespace

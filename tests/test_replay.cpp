@@ -16,6 +16,7 @@
 #include "ml/trainer.hpp"
 #include "mpc/governor.hpp"
 #include "policy/turbo_core.hpp"
+#include "serve/server.hpp"
 #include "sim/simulator.hpp"
 #include "trace/jsonl_export.hpp"
 #include "workload/benchmarks.hpp"
@@ -186,6 +187,36 @@ TEST(ReplayEngine, DeadlineQosChangesTheReplayedTargets)
     EXPECT_EQ(report.decisions, records.size());
     EXPECT_FALSE(report.identical())
         << "a 2x deadline slack changed no decision";
+}
+
+TEST(ReplayEngine, VariantModelReplayIsByteIdentical)
+{
+    // `gpupm replay --hw-model M` of a fleet dump recorded on M: the
+    // fleet's sessions and the replayed governor both score candidates
+    // through a kernel memo built on M's own config descriptors, so a
+    // variant model replays as exactly as the paper model does.
+    for (const char *name : {"eco-apu", "perf-apu"}) {
+        SCOPED_TRACE(name);
+        const auto model = hw::HardwareCatalog::instance().get(name);
+        trace::DecisionLog log;
+        serve::FleetOptions fleet;
+        fleet.apps = {"color", "Spmv", "NBody"};
+        fleet.sessionCount = 3;
+        fleet.hwModels = {name};
+        fleet.decisionSink = &log;
+        serve::runFleet(forest(), fleet);
+        const auto records = log.take();
+        ASSERT_FALSE(records.empty());
+
+        exec::ReplayOptions opts;
+        opts.model = model;
+        const auto report = exec::replayRecords(records, forest(), opts);
+        EXPECT_EQ(report.decisions, records.size());
+        EXPECT_EQ(report.governors, 3u);
+        EXPECT_TRUE(report.identical())
+            << report.divergences.size() << " of " << report.decisions
+            << " replayed decisions diverged";
+    }
 }
 
 } // namespace

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
@@ -169,6 +171,26 @@ TEST(ThreadPoolDeathTest, PostAfterShutdownIsFatal)
     pool.shutdown();
     EXPECT_DEATH(pool.post([] {}),
                  "post\\(\\) on a stopping ThreadPool");
+}
+
+TEST(ThreadPool, IdleWorkersBlock)
+{
+    // Idle workers sleep on a predicate wait until work is posted; a
+    // timed poll would show up here as hundreds of voluntary context
+    // switches per second per worker.
+    ThreadPool pool(4);
+    pool.submit([] {}).get();
+    const auto switches = [] {
+        rusage usage{};
+        getrusage(RUSAGE_SELF, &usage);
+        return usage.ru_nvcsw;
+    };
+    const auto before = switches();
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    const auto idle = switches() - before;
+    EXPECT_LE(idle, 100) << "voluntary context switches in 300 ms idle";
+    // Still serving after the idle stretch.
+    EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
 }
 
 TEST(ThreadPool, OnWorkerThreadOnlyInsideTasks)

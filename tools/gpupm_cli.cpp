@@ -45,10 +45,10 @@
 #include "exec/sweep_jobs.hpp"
 #include "hw/model.hpp"
 #include "ml/error_model.hpp"
+#include "ml/kernel_memo.hpp"
 #include "ml/serialize.hpp"
 #include "ml/trainer.hpp"
 #include "mpc/governor.hpp"
-#include "online/adaptive_predictor.hpp"
 #include "online/learner.hpp"
 #include "policy/oracle.hpp"
 #include "policy/pi_governor.hpp"
@@ -474,10 +474,11 @@ cmdRun(int argc, const char *const *argv)
     }
 
     // Close the loop: route MPC predictions through a hot-swappable
-    // handle and interpose the drift-triggered learner in the
+    // handle, behind one kernel memo that keys its tables on the
+    // generation, and interpose the drift-triggered learner in the
     // provenance path. Synchronous refits keep the single-threaded run
     // path deterministic (swaps land at known decision boundaries).
-    std::optional<online::ForestHandle> forest_handle;
+    std::optional<ml::ForestHandle> forest_handle;
     std::optional<online::OnlineLearner> learner;
     if (flags.getBool("online-learn")) {
         auto rf = std::dynamic_pointer_cast<
@@ -488,8 +489,8 @@ cmdRun(int argc, const char *const *argv)
             return 2;
         }
         forest_handle.emplace(std::move(rf));
-        predictor =
-            std::make_shared<online::AdaptivePredictor>(*forest_handle);
+        predictor = std::make_shared<ml::KernelMemo>(
+            *forest_handle, getHwModel(flags));
         online::OnlineOptions oopts = parseOnlineOptions(flags);
         oopts.synchronous = true;
         learner.emplace(*forest_handle, oopts, trace_outputs.log());

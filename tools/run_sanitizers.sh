@@ -10,12 +10,12 @@
 #
 #   tools/run_sanitizers.sh -R 'FlatForest|RandomForest|Trainer'
 #
-# or the fleet-serving path (request queue, session predictors and the
+# or the fleet-serving path (request queue, kernel memos and the
 # forest hot-swap, sharded server, shed controller, wire protocol and
 # the epoll net server — close to the set CI runs under its scoped TSan
 # leg):
 #
-#   tools/run_sanitizers.sh -R 'RequestQueue|SessionPredictor|OnlineSwap|FleetServer|FleetServerSharded|FleetDeterminism|SessionManager|ShedController|Wire|NetServer|Telemetry'
+#   tools/run_sanitizers.sh -R 'RequestQueue|KernelMemo|OnlineSwap|FleetServer|FleetServerSharded|FleetDeterminism|SessionManager|ShedController|Wire|NetServer|Telemetry'
 #
 # A single sanitizer can be selected with --only (used by CI, where
 # TSan and ASan run as separate jobs):
