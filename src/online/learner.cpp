@@ -17,6 +17,7 @@ OnlineLearner::OnlineLearner(ml::ForestHandle &handle,
     : _handle(handle), _opts(opts), _inner(inner),
       _detector(opts.drift)
 {
+    // The row ring needs at least one slot: maxRows >= minRows > 0.
     GPUPM_ASSERT(_opts.minRows > 0 && _opts.maxRows >= _opts.minRows,
                  "online row bounds must satisfy 0 < minRows <= maxRows");
     if (telemetry) {
@@ -82,10 +83,26 @@ OnlineLearner::accumulateLocked(const trace::DecisionRecord &r)
     row.timeTarget = std::log(r.measuredTime / proxy);
     row.powerTarget = r.measuredGpuPower;
 
-    if (_rows.size() >= _opts.maxRows)
-        _rows.erase(_rows.begin()); // drop the oldest
-    _rows.push_back(row);
+    if (_rows.size() < _opts.maxRows) {
+        _rows.push_back(row);
+    } else {
+        // Full: the newest row overwrites the oldest, which sits at
+        // the ring's head; the next-oldest becomes the head.
+        _rows[_head] = row;
+        _head = (_head + 1) % _rows.size();
+    }
     ++_stats.rows;
+}
+
+std::vector<OnlineLearner::Row>
+OnlineLearner::rowsInArrivalOrderLocked() const
+{
+    std::vector<Row> rows;
+    rows.reserve(_rows.size());
+    const auto head = _rows.begin() + static_cast<std::ptrdiff_t>(_head);
+    rows.insert(rows.end(), head, _rows.end());
+    rows.insert(rows.end(), _rows.begin(), head);
+    return rows;
 }
 
 void
@@ -111,7 +128,7 @@ OnlineLearner::onTriggerLocked(const DriftEvent &ev)
     if (_ctrRetrains)
         _ctrRetrains->add();
 
-    std::vector<Row> snapshot = _rows; // arrival order: deterministic
+    std::vector<Row> snapshot = rowsInArrivalOrderLocked();
     const std::uint64_t ordinal = ev.ordinal;
     if (_opts.synchronous) {
         // Swap-at-a-known-record-boundary for tests and benches. The

@@ -118,6 +118,8 @@ class OnlineLearner : public trace::DecisionSink
     };
 
     void accumulateLocked(const trace::DecisionRecord &r);
+    /** The buffered rows, oldest first (the refit's input order). */
+    std::vector<Row> rowsInArrivalOrderLocked() const;
     void onTriggerLocked(const DriftEvent &ev);
     void retrain(std::uint64_t trigger_ordinal,
                  std::vector<Row> rows);
@@ -132,7 +134,12 @@ class OnlineLearner : public trace::DecisionSink
 
     mutable std::mutex _mutex;
     DriftDetector _detector;
+    /**
+     * Row buffer: appended until it holds maxRows rows, then a ring
+     * whose oldest row sits at _head.
+     */
     std::vector<Row> _rows;
+    std::size_t _head = 0;
     OnlineStats _stats;
     bool _retrainInFlight = false;
 

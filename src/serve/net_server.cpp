@@ -114,6 +114,13 @@ knownBenchmark(const std::string &name)
     return std::find(names.begin(), names.end(), name) != names.end();
 }
 
+/** Evict a session from its home shard (no-op when already gone). */
+void
+releaseSession(FleetServer &server, SessionId id)
+{
+    server.shardSessions(server.shardOf(id)).evict(id);
+}
+
 } // namespace
 
 NetServer::NetServer(FleetServer &server, const NetServerOptions &opts)
@@ -232,16 +239,24 @@ NetServer::eventLoop()
 {
     auto &impl = *_impl;
 
+    // A Step is accepted only on the connection that opened its
+    // session, so a closed connection's sessions are unreachable:
+    // closeConn releases the idle ones, and a Step still in flight
+    // releases its own session when it completes.
     auto closeConn = [&](const std::shared_ptr<Connection> &conn) {
+        std::vector<SessionId> idle;
         {
             std::lock_guard lock(conn->mutex);
             conn->closed = true;
+            for (const auto &[id, state] : conn->sessions)
+                if (!state.inflight)
+                    idle.push_back(id);
         }
         ::epoll_ctl(impl.epollFd, EPOLL_CTL_DEL, conn->fd, nullptr);
         ::close(conn->fd);
         impl.conns.erase(conn->fd);
-        // Sessions stay resident in their shards; the LRU evicts them
-        // once the manager needs the slots.
+        for (const SessionId id : idle)
+            releaseSession(_server, id);
     };
 
     /*
@@ -394,10 +409,12 @@ NetServer::eventLoop()
         }
 
         Impl *impl_ = &impl;
+        FleetServer *server = &_server;
         DecisionRequest req;
         req.session = m.session;
-        req.onDone = [impl_, conn](SessionId id,
-                                   const DecisionRecord *rec) {
+        req.onDone = [impl_, server, conn](SessionId id,
+                                           const DecisionRecord *rec) {
+            bool closed = false;
             {
                 std::lock_guard lock(conn->mutex);
                 if (auto it = conn->sessions.find(id);
@@ -406,9 +423,11 @@ NetServer::eventLoop()
                     if (rec != nullptr && it->second.remaining > 0)
                         --it->second.remaining;
                 }
-                if (conn->closed)
-                    return;
-                if (rec == nullptr) {
+                closed = conn->closed;
+                if (closed) {
+                    // Released below: closeConn skipped this session
+                    // while it was in flight.
+                } else if (rec == nullptr) {
                     wire::encodeReject(
                         conn->writeBuf,
                         {id, wire::RejectReason::UnknownSession});
@@ -430,6 +449,11 @@ NetServer::eventLoop()
                         static_cast<std::uint32_t>(rec->evaluations);
                     wire::encodeDecision(conn->writeBuf, d);
                 }
+            }
+            if (closed) {
+                // Completions run after checkin, so the evict succeeds.
+                releaseSession(*server, id);
+                return;
             }
             impl_->markDirty(conn);
         };

@@ -37,6 +37,7 @@
 #include "serve/net_server.hpp"
 #include "serve/server.hpp"
 #include "serve/wire.hpp"
+#include "workload/benchmarks.hpp"
 
 namespace gpupm::serve {
 namespace {
@@ -125,10 +126,10 @@ class WireClient
 class ServerFixture
 {
   public:
-    explicit ServerFixture(std::size_t shards = 2)
+    explicit ServerFixture(std::size_t shards = 2, std::size_t jobs = 2)
     {
         FleetServerOptions sopts;
-        sopts.jobs = 2;
+        sopts.jobs = jobs;
         sopts.shards = shards;
         _fleet = std::make_unique<FleetServer>(
             std::make_shared<ml::GroundTruthPredictor>(hw::ApuParams::defaults()), sopts);
@@ -474,6 +475,84 @@ TEST(NetServer, ServesMultipleConcurrentConnections)
     EXPECT_EQ(completed.load(), kClients);
     EXPECT_EQ(server.net().accepted(),
               static_cast<std::uint64_t>(kClients));
+}
+
+/** Sessions resident across every shard of @p fleet. */
+std::size_t
+residentSessions(FleetServer &fleet)
+{
+    std::size_t n = 0;
+    for (std::size_t s = 0; s < fleet.shardCount(); ++s)
+        n += fleet.shardSessions(s).size();
+    return n;
+}
+
+/** Poll until @p fleet holds @p want sessions; false after 2 s. */
+bool
+waitForResident(FleetServer &fleet, std::size_t want)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (residentSessions(fleet) != want) {
+        if (std::chrono::steady_clock::now() > deadline)
+            return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return true;
+}
+
+/** Sets a flag when it goes out of scope, however the test exits. */
+struct SetOnExit
+{
+    std::atomic<bool> &flag;
+    ~SetOnExit() { flag = true; }
+};
+
+TEST(NetServer, ClosingAConnectionReleasesItsSessions)
+{
+    // One worker, held busy by a request from outside any connection,
+    // so the client's Step is still in flight when its socket closes.
+    ServerFixture server(2, 1);
+    FleetServer &fleet = server.fleet();
+    std::atomic<bool> busy{false}, go{false};
+    const SetOnExit unblock{go}; // frees the worker before teardown
+    DecisionRequest hold;
+    hold.session = fleet.createSession(workload::makeBenchmark("color"));
+    const SessionId blocker = hold.session;
+    hold.onDone = [&busy, &go](SessionId, const DecisionRecord *) {
+        busy = true;
+        while (!go)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    };
+    ASSERT_TRUE(fleet.submit(std::move(hold)));
+    while (!busy)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+    {
+        WireClient client(server.port());
+        const auto stepped = client.open(1, "color");
+        client.open(2, "mis");
+        client.open(3, "NBody");
+        client.step(stepped.session);
+        // The event loop handles one connection's frames in order, so
+        // once the Stats reply arrives the Step is queued.
+        std::vector<std::uint8_t> out;
+        wire::encodeStatsReq(out);
+        client.sendBytes(out);
+        const auto frame = client.readFrame();
+        ASSERT_TRUE(frame && frame->type == wire::MsgType::Stats);
+        ASSERT_EQ(residentSessions(fleet), 4u);
+    } // the client closes its socket here
+
+    // The two idle sessions go at once; the one in flight stays until
+    // its Step completes, and then releases itself.
+    EXPECT_TRUE(waitForResident(fleet, 2));
+    go = true;
+    // The blocker belongs to no connection, so the test evicts it.
+    // Its completion runs after checkin, so it is evictable already.
+    EXPECT_TRUE(fleet.shardSessions(fleet.shardOf(blocker)).evict(blocker));
+    EXPECT_TRUE(waitForResident(fleet, 0))
+        << residentSessions(fleet) << " sessions still resident";
 }
 
 /** One Stats round trip; the named counter, or 0 if absent. */

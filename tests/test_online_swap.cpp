@@ -26,6 +26,7 @@
 #include "hw/config.hpp"
 #include "hw/model.hpp"
 #include "kernel/counters.hpp"
+#include "ml/features.hpp"
 #include "ml/forest_handle.hpp"
 #include "ml/kernel_memo.hpp"
 #include "ml/trainer.hpp"
@@ -458,6 +459,71 @@ TEST(OnlineLearner, BackgroundRetrainPublishesAfterDrain)
     EXPECT_EQ(registry.counter("online.swaps").value(), st.swaps);
     EXPECT_EQ(registry.counter("online.suppressed").value(),
               st.suppressed);
+}
+
+TEST(OnlineLearner, FullRowBufferKeepsTheNewestRowsInArrivalOrder)
+{
+    // 29 drift-free records wrap a 12-row buffer twice, so its oldest
+    // row no longer sits at the front of its storage; drifting records
+    // then trigger one synchronous refit. That refit must fit exactly
+    // the newest maxRows rows, oldest first, with the learner's seeds.
+    auto &fx = fixture();
+    ForestHandle handle(fx.gens[0]);
+    auto opts = eagerLearner();
+    opts.maxRows = 12;
+    opts.forest.numTrees = 3;
+    OnlineLearner learner(handle, opts);
+
+    std::vector<trace::DecisionRecord> fed;
+    for (std::size_t i = 0; i < 29; ++i) {
+        fed.push_back(driftingRecord(i));
+        fed.back().timeErrorPct = 0.0; // scored and observed, no drift
+        learner.record(trace::DecisionRecord(fed.back()));
+    }
+    ASSERT_EQ(handle.ordinal(), 0u);
+    for (std::size_t i = 29; i < 64 && handle.ordinal() == 0; ++i) {
+        fed.push_back(driftingRecord(i));
+        learner.record(trace::DecisionRecord(fed.back()));
+    }
+    ASSERT_EQ(handle.ordinal(), 1u);
+    ASSERT_NE(fed.size() % opts.maxRows, 0u); // the ring is mid-turn
+
+    const auto features = [](const trace::DecisionRecord &r) {
+        return ml::makeFeatures(r.counters,
+                                hw::denseConfigAt(r.configIndex));
+    };
+    ml::Dataset time_data, power_data;
+    for (std::size_t i = fed.size() - opts.maxRows; i < fed.size(); ++i) {
+        const auto &r = fed[i];
+        time_data.add(features(r),
+                      std::log(r.measuredTime /
+                               ml::instructionProxy(r.counters)));
+        power_data.add(features(r), r.measuredGpuPower);
+    }
+    // Trigger ordinal 1 seeds the time forest with seed ^ 2 and the
+    // power forest with seed ^ 3.
+    ml::ForestOptions time_opts = opts.forest;
+    time_opts.seed = opts.seed ^ 2;
+    ml::ForestOptions power_opts = opts.forest;
+    power_opts.seed = opts.seed ^ 3;
+    ml::TrainedForests forests;
+    forests.time.fit(time_data, time_opts);
+    forests.power.fit(power_data, power_opts);
+    const ml::RandomForestPredictor expected(forests);
+
+    std::vector<ml::FeatureVector> rows = fx.probe;
+    for (const auto &r : fed)
+        rows.push_back(features(r));
+    Expected want, got;
+    for (Expected *e : {&want, &got}) {
+        e->timeLog.resize(rows.size());
+        e->gpuPower.resize(rows.size());
+    }
+    expected.predictRows(rows, want.timeLog, want.gpuPower);
+    handle.acquire()->predictor->predictRows(rows, got.timeLog,
+                                             got.gpuPower);
+    EXPECT_EQ(got.timeLog, want.timeLog);
+    EXPECT_EQ(got.gpuPower, want.gpuPower);
 }
 
 TEST(OnlineLearner, RefitsAreDeterministic)

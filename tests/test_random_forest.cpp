@@ -170,6 +170,42 @@ TEST(RandomForest, ParallelFitByteIdentical)
     }
 }
 
+TEST(RandomForest, FewerTreesAreAPrefixOfMore)
+{
+    // Tree t's bootstrap rows and rng stream depend only on (seed, t),
+    // so shrinking numTrees keeps the first trees exactly: the default
+    // forest is the first trees of any larger one.
+    auto d = noisyLinearData(600, 13);
+    ForestOptions opts;
+    opts.tree.mtry = 1;
+    opts.seed = 99;
+    opts.numTrees = 5;
+    RandomForest few;
+    few.fit(d, opts);
+    opts.numTrees = 12;
+    RandomForest many;
+    many.fit(d, opts);
+
+    ASSERT_EQ(few.treeCount(), 5u);
+    ASSERT_EQ(many.treeCount(), 12u);
+    for (std::size_t t = 0; t < few.treeCount(); ++t) {
+        const auto &a = few.trees()[t];
+        const auto &b = many.trees()[t];
+        EXPECT_EQ(a.depth(), b.depth()) << "tree " << t;
+        ASSERT_EQ(a.nodeCount(), b.nodeCount()) << "tree " << t;
+        for (std::size_t i = 0; i < a.nodeCount(); ++i) {
+            const auto &x = a.nodes()[i];
+            const auto &y = b.nodes()[i];
+            EXPECT_EQ(x.feature, y.feature) << "tree " << t << " node " << i;
+            EXPECT_EQ(x.threshold, y.threshold)
+                << "tree " << t << " node " << i;
+            EXPECT_EQ(x.left, y.left) << "tree " << t << " node " << i;
+            EXPECT_EQ(x.right, y.right) << "tree " << t << " node " << i;
+            EXPECT_EQ(x.value, y.value) << "tree " << t << " node " << i;
+        }
+    }
+}
+
 TEST(RandomForest, OobMapeNaNWhenEveryRowSkipped)
 {
     // All-zero targets: every OOB row fails the |y| > 1e-12 guard, so

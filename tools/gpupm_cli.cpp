@@ -35,6 +35,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -359,11 +360,18 @@ parsePowercapOptions(const FlagParser &flags,
 int
 cmdTrain(int argc, const char *const *argv)
 {
+    // The flags default to TrainerOptions' own values, so the CLI and
+    // the library train the same model.
+    ml::TrainerOptions opts;
+    constexpr int kMaxInt = std::numeric_limits<int>::max();
     FlagParser flags("gpupm train: fit the Random Forest predictor");
     flags.addPath("out", "model.rf", "output model path");
-    flags.addInt("corpus", 128, "training kernels");
-    flags.addInt("trees", 60, "trees per forest");
-    flags.addInt("stride", 1, "use every k-th configuration");
+    flags.addInt("corpus", static_cast<int>(opts.corpusSize),
+                 "training kernels", 1, kMaxInt);
+    flags.addInt("trees", opts.forest.numTrees, "trees per forest", 1,
+                 kMaxInt);
+    flags.addInt("stride", opts.configStride,
+                 "use every k-th configuration", 1, kMaxInt);
     flags.addInt("jobs", 0,
                  "dataset-generation and forest-fitting workers (0 = "
                  "hardware concurrency, 1 = serial; output is identical)",
@@ -374,7 +382,6 @@ cmdTrain(int argc, const char *const *argv)
         return flags.helpRequested() ? 0 : 2;
     }
 
-    ml::TrainerOptions opts;
     opts.corpusSize = static_cast<std::size_t>(flags.getInt("corpus"));
     opts.forest.numTrees = flags.getInt("trees");
     opts.configStride = flags.getInt("stride");
